@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <optional>
 #include <stdexcept>
 
 #include "util/cancel.hpp"
@@ -715,23 +716,18 @@ Multi_pace_result evaluate_multi_partition(
 
 namespace {
 
-/// One BSB's contribution to multi_max_gain: the better of its two
-/// per-ASIC gains, adjacency credited unconditionally, budgets
-/// ignored — shared by both overloads so the admissibility formula
-/// lives in exactly one place.
-double best_bsb_gain(std::size_t i, double t_sw, const Bsb_cost& h0,
-                     const Bsb_cost& h1)
+/// One BSB's gain on one ASIC, adjacency credited unconditionally,
+/// budgets ignored, clamped at 0 (0 when infeasible) — shared by
+/// every multi_max_gain form so the admissibility formula lives in
+/// exactly one place.
+double bsb_gain_term(std::size_t i, double t_sw, const Bsb_cost& h)
 {
-    double best = 0.0;
-    for (const Bsb_cost* h : {&h0, &h1}) {
-        if (std::isinf(h->t_hw))
-            continue;
-        double gain = t_sw - h->t_hw - h->comm;
-        if (i > 0)
-            gain += std::max(0.0, h->save_prev);
-        best = std::max(best, gain);
-    }
-    return best;
+    if (std::isinf(h.t_hw))
+        return 0.0;
+    double gain = t_sw - h.t_hw - h.comm;
+    if (i > 0)
+        gain += std::max(0.0, h.save_prev);
+    return std::max(0.0, gain);
 }
 
 }  // namespace
@@ -740,17 +736,25 @@ double multi_max_gain(std::span<const Multi_bsb_cost> costs)
 {
     double total = 0.0;
     for (std::size_t i = 0; i < costs.size(); ++i)
-        total += best_bsb_gain(i, costs[i].t_sw, costs[i].hw[0],
-                               costs[i].hw[1]);
+        total += std::max(bsb_gain_term(i, costs[i].t_sw, costs[i].hw[0]),
+                          bsb_gain_term(i, costs[i].t_sw, costs[i].hw[1]));
     return total;
 }
 
-double multi_max_gain(std::span<const Bsb_cost> c0,
-                      std::span<const Bsb_cost> c1)
+void multi_gain_terms(std::span<const Bsb_cost> costs,
+                      std::vector<double>& out)
+{
+    out.resize(costs.size());
+    for (std::size_t i = 0; i < costs.size(); ++i)
+        out[i] = bsb_gain_term(i, costs[i].t_sw, costs[i]);
+}
+
+double multi_max_gain(std::span<const double> g0,
+                      std::span<const double> g1)
 {
     double total = 0.0;
-    for (std::size_t i = 0; i < c0.size(); ++i)
-        total += best_bsb_gain(i, c0[i].t_sw, c0[i], c1[i]);
+    for (std::size_t i = 0; i < g0.size(); ++i)
+        total += std::max(g0[i], g1[i]);
     return total;
 }
 
@@ -758,8 +762,10 @@ double multi_pace_best_saving(std::span<const Multi_bsb_cost> costs,
                               const Multi_pace_options& options,
                               Multi_pace_workspace* workspace)
 {
-    Multi_pace_workspace local;
-    Multi_pace_workspace& ws = workspace != nullptr ? *workspace : local;
+    // Built only when the caller passes no workspace.
+    std::optional<Multi_pace_workspace> local;
+    Multi_pace_workspace& ws =
+        workspace != nullptr ? *workspace : local.emplace();
     const Multi_setup s =
         prepare_multi(costs, options, ws.qarea_, ws.possible_);
     if (costs.empty())
@@ -778,8 +784,10 @@ double multi_pace_best_saving_frontier(std::span<const Multi_bsb_cost> costs,
                                        const Multi_pace_options& options,
                                        Multi_pace_workspace* workspace)
 {
-    Multi_pace_workspace local;
-    Multi_pace_workspace& ws = workspace != nullptr ? *workspace : local;
+    // Built only when the caller passes no workspace.
+    std::optional<Multi_pace_workspace> local;
+    Multi_pace_workspace& ws =
+        workspace != nullptr ? *workspace : local.emplace();
     const Multi_setup s =
         prepare_multi(costs, options, ws.qarea_, ws.possible_);
     if (costs.empty())
@@ -797,8 +805,10 @@ Multi_pace_result multi_pace_partition(std::span<const Multi_bsb_cost> costs,
                                        const Multi_pace_options& options,
                                        Multi_pace_workspace* workspace)
 {
-    Multi_pace_workspace local;
-    Multi_pace_workspace& ws = workspace != nullptr ? *workspace : local;
+    // Built only when the caller passes no workspace.
+    std::optional<Multi_pace_workspace> local;
+    Multi_pace_workspace& ws =
+        workspace != nullptr ? *workspace : local.emplace();
     const Multi_setup s =
         prepare_multi(costs, options, ws.qarea_, ws.possible_);
     const std::size_t n = costs.size();
@@ -880,8 +890,10 @@ Multi_pace_result multi_pace_partition_frontier(
     std::span<const Multi_bsb_cost> costs, const Multi_pace_options& options,
     Multi_pace_workspace* workspace)
 {
-    Multi_pace_workspace local;
-    Multi_pace_workspace& ws = workspace != nullptr ? *workspace : local;
+    // Built only when the caller passes no workspace.
+    std::optional<Multi_pace_workspace> local;
+    Multi_pace_workspace& ws =
+        workspace != nullptr ? *workspace : local.emplace();
     const Multi_setup s =
         prepare_multi(costs, options, ws.qarea_, ws.possible_);
     const std::size_t n = costs.size();

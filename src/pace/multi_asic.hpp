@@ -308,12 +308,19 @@ double multi_pace_best_saving(std::span<const Multi_bsb_cost> costs,
 /// screening DP for pairs whose bound cannot beat the incumbent.
 double multi_max_gain(std::span<const Multi_bsb_cost> costs);
 
-/// Same bound over split per-ASIC cost spans (t_sw from `c0`) — the
-/// a0-major pair walk keeps the row's asic0 costs and a per-row
-/// relaxation of the asic1 costs in separate vectors and must not
-/// materialize a combined Multi_bsb_cost vector just to bound a row.
-double multi_max_gain(std::span<const Bsb_cost> c0,
-                      std::span<const Bsb_cost> c1);
+/// One ASIC's per-BSB terms of multi_max_gain: out[i] is BSB i's gain
+/// on that ASIC (adjacency credited, clamped at 0; 0 when infeasible).
+/// The term depends on one allocation only, so the multi-ASIC pair
+/// walk computes it once per axis point instead of once per pair.
+/// Resizes `out` to costs.size().
+void multi_gain_terms(std::span<const Bsb_cost> costs,
+                      std::vector<double>& out);
+
+/// multi_max_gain from two ASICs' precomputed multi_gain_terms:
+/// sum over i of max(g0[i], g1[i]), summed in BSB order — bit-
+/// identical to multi_max_gain over the combined costs.
+double multi_max_gain(std::span<const double> g0,
+                      std::span<const double> g1);
 
 /// Caller-owned reusable buffers for the two-ASIC DP (sparse and
 /// frontier paths).  Grow-only; one workspace per thread, never

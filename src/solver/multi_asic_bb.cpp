@@ -1,12 +1,15 @@
 // multi_asic_bb — branch-and-bound over the two-ASIC pair *tree*.
 //
-// PR 4 introduced the first multi-ASIC allocation search as a flat
-// quadratic pair walk: every (a0 allocation, a1 allocation) pair of
-// the per-axis filtered point lists was visited, bounded per pair,
-// and hard-capped by Multi_asic_extras::pair_limit (an exception).
-// This engine restructures the walk as a deterministic branch-and-
-// bound over the a0-major pair tree:
+// The first multi-ASIC allocation search was a flat quadratic pair
+// walk: every (a0 allocation, a1 allocation) pair of the per-axis
+// filtered point lists was visited, bounded per pair, and hard-capped
+// by Multi_asic_extras::pair_limit (an exception).  This engine
+// restructures the walk as a deterministic branch-and-bound over the
+// a0-major pair tree:
 //
+//   * every axis point the walk reads has its per-BSB costs fetched
+//     once per solve into one flat cost block (see Axis_block), so
+//     the pair loop indexes memory instead of hashing projections,
 //   * rows are the tree's first level: one a0 axis point = one row of
 //     f1 pairs.  Before any per-pair DP runs in a row, an admissible
 //     *row bound* may kill the whole row: the sparse value-only DP
@@ -19,12 +22,12 @@
 //     killed row prunes f1 pairs for one O(states) sweep — cheaper
 //     still, a budget-free multi_max_gain over the same relaxed costs
 //     screens the row in O(n) first,
-//   * surviving rows run the PR 4 per-pair ladder: multi_max_gain,
-//     then the sparse screening DP, then the full sparse partition
-//     with traceback — all over the Pareto-sparse state sets now,
+//   * surviving rows run the per-pair ladder: multi_max_gain over the
+//     precomputed per-point gain terms, then the sparse screening DP,
+//     then the full sparse partition with traceback,
 //   * rows are dispatched chunk-parallel over the Session pool (one
-//     contiguous row range per worker, private Eval_cache and
-//     Multi_pace_workspace, in-order reduction),
+//     contiguous row range per worker, a private Multi_pace_workspace,
+//     the cost block shared read-only, in-order reduction),
 //   * pair_limit is a *soft* guard: a pair space beyond it is walked
 //     up to exactly pair_limit pairs in a0-major order —
 //     deterministically, whatever the chunking — with the remainder
@@ -41,6 +44,7 @@
 // setting, the determinism contract all strategies carry.
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <optional>
 #include <span>
@@ -58,16 +62,40 @@ namespace lycos::solver::detail {
 
 namespace {
 
-/// One enumerable allocation of one ASIC (area pre-computed: the
-/// inner loop compares it millions of times).
+/// Axis_point::row of a point the walk never reads.
+constexpr std::uint32_t k_unread = std::numeric_limits<std::uint32_t>::max();
+
+/// One enumerable allocation (area pre-computed: the inner loop
+/// compares it millions of times).
 struct Axis_point {
     core::Rmap alloc;
     double area = 0.0;
+    std::uint32_t row = k_unread;  ///< its row in the Axis_block
 };
 
 /// Largest single-ASIC space the per-axis enumeration will walk while
 /// building the filtered point lists.
 constexpr long long k_axis_enum_limit = 1LL << 22;
+
+/// Per-BSB costs of every axis point the walk reads, fetched once per
+/// solve: row r holds n_bsbs pace::Bsb_cost (and their
+/// multi_gain_terms) contiguously, so a pair costs two row offsets
+/// instead of two cache lookups.  Filled serially before any worker
+/// runs and read-only afterwards — shared by every worker.
+struct Axis_block {
+    std::size_t n_bsbs = 0;
+    std::vector<pace::Bsb_cost> costs;  ///< rows x n_bsbs
+    std::vector<double> gain;           ///< rows x n_bsbs gain terms
+
+    std::span<const pace::Bsb_cost> costs_of(std::uint32_t row) const
+    {
+        return {costs.data() + row * n_bsbs, n_bsbs};
+    }
+    std::span<const double> gain_of(std::uint32_t row) const
+    {
+        return {gain.data() + row * n_bsbs, n_bsbs};
+    }
+};
 
 /// What one worker accumulates over its chunk of the row range.
 struct Pair_chunk {
@@ -86,7 +114,6 @@ struct Pair_chunk {
     long long dp_cells_dense = 0;
     long long rows_abandoned = 0;
     bool stopped = false;
-    search::Eval_cache_stats stats;
 };
 
 /// Fill the a0 half of the combined costs (t_sw is allocation-
@@ -127,20 +154,22 @@ void combine_costs(std::span<const pace::Bsb_cost> c0,
 /// exactly as in every concrete pair.
 struct Axis_relaxation {
     std::vector<pace::Bsb_cost> best_case;  ///< per BSB
-    double min_area = 0.0;  ///< smallest data-path area on the axis
+    std::vector<double> gain;  ///< multi_gain_terms of best_case
+    double min_area = 0.0;     ///< smallest data-path area on the axis
 };
 
-Axis_relaxation relax_axis(std::span<const Axis_point> axis,
-                           search::Eval_cache& cache,
-                           std::vector<pace::Bsb_cost>& scratch)
+Axis_relaxation relax_axis(std::span<const Axis_point> points,
+                           std::span<const std::uint32_t> axis,
+                           const Axis_block& block)
 {
     constexpr double inf = std::numeric_limits<double>::infinity();
     Axis_relaxation r;
     r.min_area = inf;
-    for (const auto& point : axis) {
-        cache.costs_for(point.alloc, scratch);
+    for (const std::uint32_t p : axis) {
+        const Axis_point& point = points[p];
+        const auto costs = block.costs_of(point.row);
         if (r.best_case.empty()) {
-            r.best_case = scratch;
+            r.best_case.assign(costs.begin(), costs.end());
             for (auto& c : r.best_case)
                 if (std::isinf(c.t_hw)) {
                     c.comm = 0.0;
@@ -148,9 +177,9 @@ Axis_relaxation relax_axis(std::span<const Axis_point> axis,
                 }
         }
         else {
-            for (std::size_t k = 0; k < scratch.size(); ++k) {
+            for (std::size_t k = 0; k < costs.size(); ++k) {
                 auto& b = r.best_case[k];
-                const auto& c = scratch[k];
+                const auto& c = costs[k];
                 if (std::isinf(c.t_hw))
                     continue;
                 if (std::isinf(b.t_hw)) {
@@ -167,6 +196,7 @@ Axis_relaxation relax_axis(std::span<const Axis_point> axis,
     }
     if (std::isinf(r.min_area))
         r.min_area = 0.0;
+    pace::multi_gain_terms(r.best_case, r.gain);
     return r;
 }
 
@@ -189,26 +219,29 @@ Solve_result solve_multi_asic_bb(Session& session,
             "axis (" +
             std::to_string(space.size()) + " points); tighten restrictions");
 
-    // Materialize the per-ASIC point lists: every allocation whose
-    // data-path fits that ASIC, in mixed-radix enumeration order.
-    std::array<std::vector<Axis_point>, 2> axis;
-    {
-        const double max_budget = std::max(budgets[0], budgets[1]);
-        space.for_each(max_budget, [&](const core::Rmap& a) {
-            const double area = a.area(ctx.lib);
-            for (std::size_t k = 0; k < 2; ++k)
-                if (area <= budgets[k])
-                    axis[k].push_back({a, area});
-            return true;
-        });
-    }
+    // Materialize the larger budget's point list — every allocation
+    // whose data-path fits it, in mixed-radix enumeration order — and
+    // each ASIC's axis as indices into it.  An axis is the points
+    // within its own budget, so the smaller axis is a subsequence of
+    // the larger one (and the same list at an even split).
+    std::vector<Axis_point> points;
+    std::array<std::vector<std::uint32_t>, 2> axis;
+    space.for_each(std::max(budgets[0], budgets[1]),
+                   [&](const core::Rmap& a) {
+                       const double area = a.area(ctx.lib);
+                       const auto p = static_cast<std::uint32_t>(points.size());
+                       for (std::size_t k = 0; k < 2; ++k)
+                           if (area <= budgets[k])
+                               axis[k].push_back(p);
+                       points.push_back({a, area});
+                       return true;
+                   });
     const long long f0 = static_cast<long long>(axis[0].size());
     const long long f1 = static_cast<long long>(axis[1].size());
     const long long pairs = f0 * f1;  // each axis <= 2^22, no overflow
 
     // Soft pair cap: walk exactly the first `walked` pairs (a0-major
-    // order), skip the rest deterministically — the PR 4 hard throw
-    // retired.  <= 0 means unlimited.
+    // order), skip the rest deterministically.  <= 0 means unlimited.
     const long long walked =
         extras.pair_limit > 0 ? std::min(pairs, extras.pair_limit) : pairs;
 
@@ -224,6 +257,10 @@ Solve_result solve_multi_asic_bb(Session& session,
         return out;
     }
     const long long n_rows = (walked + f1 - 1) / f1;
+    // Under a truncating pair_limit no row reaches the asic1 axis
+    // points past the walked prefix.
+    const auto reachable =
+        static_cast<std::size_t>(std::min<long long>(f1, walked));
 
     // Resolve the a0-row window (a distributed range lease, or all
     // rows).  Everything derived from the full walk — axis lists,
@@ -249,33 +286,72 @@ Solve_result solve_multi_asic_bb(Session& session,
     // Session::invariants() is lazily computed and not thread-safe.
     const auto invariants = session.invariants();
 
-    // Shared prep: the all-software baseline, the float-safety slack,
-    // the asic1 axis relaxation behind the row bound, and a primed
-    // time-to-beat from the greedy probe pair so every worker prunes
-    // from the start.  The probes run on worker 0's cache so the
-    // first chunk starts warm — but only when caching is on: an
-    // uncached solve must not mutate the caller's shared cache or
-    // instantiate the session one, so it probes on a throwaway.
-    search::Eval_cache* chunk0_cache = nullptr;
+    // Shared prep: the axis cost block, the all-software baseline, the
+    // float-safety slack, the asic1 axis relaxation behind the row
+    // bound, and a primed time-to-beat from the greedy probe pair so
+    // every worker prunes from the start.  All of it is fetched
+    // through one prep cache: the session's (or the caller's shared
+    // one) when caching is on; an uncached solve must not mutate the
+    // caller's shared cache or instantiate the session one, so it
+    // fetches through a throwaway.
+    search::Eval_cache* shared_cache = nullptr;
     search::Eval_cache_stats shared_before;
     if (options.use_cache) {
-        chunk0_cache = options.shared_cache != nullptr
+        shared_cache = options.shared_cache != nullptr
                            ? options.shared_cache
                            : &session.cache(options.cache_capacity);
-        shared_before = chunk0_cache->stats();
+        shared_before = shared_cache->stats();
     }
 
     const bool use_row_bound = options.use_pruning && extras.use_row_bound;
     double all_sw = 0.0;
     double prime_time = std::numeric_limits<double>::infinity();
+    Axis_block block;
     Axis_relaxation relax1;
     {
         std::optional<search::Eval_cache> prep_local;
         search::Eval_cache& prep =
-            chunk0_cache != nullptr
-                ? *chunk0_cache
+            shared_cache != nullptr
+                ? *shared_cache
                 : prep_local.emplace(ctx, options.cache_capacity,
                                      invariants);
+
+        // The block covers the window's rows and the reachable asic1
+        // prefix: mark those points, then number them, each once, in
+        // enumeration order.
+        for (long long i = r_begin; i < r_end; ++i)
+            points[axis[0][static_cast<std::size_t>(i)]].row = 0;
+        for (std::size_t j = 0; j < reachable; ++j)
+            points[axis[1][j]].row = 0;
+        std::uint32_t n_block = 0;
+        for (auto& point : points)
+            if (point.row != k_unread)
+                point.row = n_block++;
+        block.n_bsbs = ctx.bsbs.size();
+        block.costs.resize(n_block * block.n_bsbs);
+        block.gain.resize(n_block * block.n_bsbs);
+
+        std::vector<pace::Bsb_cost> costs;
+        std::vector<double> gain;
+        for (const auto& point : points) {
+            if (point.row == k_unread)
+                continue;
+            // The fill is serial and the largest share of a cold
+            // solve: a tripped token abandons every row before the
+            // walk starts.
+            if (options.cancel != nullptr && options.cancel->stop()) {
+                out.rows_abandoned = n_rows_work;
+                out.status = options.cancel->status();
+                out.seconds = timer.seconds();
+                return out;
+            }
+            prep.costs_for(point.alloc, costs);
+            pace::multi_gain_terms(costs, gain);
+            const std::size_t at = point.row * block.n_bsbs;
+            std::copy(costs.begin(), costs.end(), block.costs.begin() + at);
+            std::copy(gain.begin(), gain.end(), block.gain.begin() + at);
+        }
+
         std::vector<pace::Bsb_cost> probe0;
         std::vector<pace::Bsb_cost> probe1;
         std::vector<pace::Multi_bsb_cost> probe_costs;
@@ -306,18 +382,15 @@ Solve_result solve_multi_asic_bb(Session& session,
             prime_time =
                 all_sw - pace::multi_pace_best_saving(probe_costs, mo, &mws);
         }
-        if (use_row_bound) {
-            // Under a truncating pair_limit no row ever reaches axis
-            // points past the walked prefix — relaxing over just the
-            // reachable ones is cheaper (they are scheduled serially
-            // here) and a tighter, still admissible bound.
-            const auto reachable = static_cast<std::size_t>(
-                std::min<long long>(f1, walked));
-            relax1 = relax_axis(
-                std::span<const Axis_point>(axis[1]).first(reachable),
-                prep, probe1);
-        }
+        if (options.use_cache)
+            out.cache_stats = shared_cache->stats().minus(shared_before);
     }
+    // Relaxing over just the reachable asic1 points is a tighter,
+    // still admissible bound.
+    if (use_row_bound)
+        relax1 = relax_axis(
+            points, std::span<const std::uint32_t>(axis[1]).first(reachable),
+            block);
     const double slack = 1e-7 * std::max(1.0, std::abs(all_sw));
 
     const std::size_t n_threads = util::clamp_chunks(
@@ -335,21 +408,6 @@ Solve_result solve_multi_asic_bb(Session& session,
     const auto run_chunk = [&](std::size_t c, long long row_begin,
                                long long row_end) {
         Pair_chunk& chunk = chunks[c];
-        search::Eval_cache* cache = nullptr;
-        std::optional<search::Eval_cache> own_cache;
-        if (options.use_cache && c == 0)
-            cache = chunk0_cache;
-        if (cache == nullptr) {
-            // Workers 1..n-1 — and every worker of an uncached run —
-            // use a private cache; the pair walk always fetches costs
-            // through one (memoized values are bit-identical to
-            // direct builds), uncached mode just drops the sharing.
-            own_cache.emplace(ctx, options.cache_capacity, invariants);
-            cache = &*own_cache;
-        }
-
-        std::vector<pace::Bsb_cost> costs0;
-        std::vector<pace::Bsb_cost> costs1;
         std::vector<pace::Multi_bsb_cost> mcosts;
         // Per-worker workspace from the session pool: this lambda IS
         // the task body, and distinct chunks use distinct slots.
@@ -376,11 +434,11 @@ Solve_result solve_multi_asic_bb(Session& session,
                 ++chunk.rows_abandoned;
                 continue;
             }
-            const auto& p0 = axis[0][static_cast<std::size_t>(i)];
+            const auto& p0 = points[axis[0][static_cast<std::size_t>(i)]];
             // The final row of a truncated prefix may be partial.
             const long long j_end = std::min(f1, walked - i * f1);
-            cache->costs_for(p0.alloc, costs0);
-            set_asic0_costs(costs0, mcosts);
+            const auto gain0 = block.gain_of(p0.row);
+            set_asic0_costs(block.costs_of(p0.row), mcosts);
             ++chunk.rows_visited;
 
             const double local_row =
@@ -393,8 +451,7 @@ Solve_result solve_multi_asic_bb(Session& session,
                 // Level 1: budget-free O(n) gain bound over the row's
                 // exact asic0 costs and the axis-relaxed asic1 costs.
                 double bound_time =
-                    all_sw -
-                    pace::multi_max_gain(costs0, relax1.best_case);
+                    all_sw - pace::multi_max_gain(gain0, relax1.gain);
                 bool killed = bound_time > threshold_row + slack;
                 if (!killed) {
                     // Level 2: the sparse value-only DP over the same
@@ -436,9 +493,7 @@ Solve_result solve_multi_asic_bb(Session& session,
                     chunk.stopped = true;
                     break;
                 }
-                const auto& p1 = axis[1][static_cast<std::size_t>(j)];
-                cache->costs_for(p1.alloc, costs1);
-                set_asic1_costs(costs1, mcosts);
+                const auto& p1 = points[axis[1][static_cast<std::size_t>(j)]];
 
                 const double local_thr =
                     chunk.have_best ? std::min(prime_time, chunk.best_time)
@@ -447,6 +502,22 @@ Solve_result solve_multi_asic_bb(Session& session,
                     ext_val = ext->get();
                 const double threshold = std::min(local_thr, ext_val);
 
+                if (options.use_pruning) {
+                    // Budget-free bound: no placement of this pair can
+                    // save more than multi_max_gain, whatever the
+                    // controller areas turn out to be.
+                    const double gain_time =
+                        all_sw -
+                        pace::multi_max_gain(gain0, block.gain_of(p1.row));
+                    if (gain_time > threshold + slack) {
+                        ++chunk.n_pruned;
+                        if (!(gain_time > local_thr + slack))
+                            ++chunk.n_pruned_remote;
+                        continue;
+                    }
+                }
+                // Only pairs that reach a DP need the asic1 half.
+                set_asic1_costs(block.costs_of(p1.row), mcosts);
                 pace::Multi_pace_options mo;
                 mo.ctrl_area_budgets = {budgets[0] - p0.area,
                                         budgets[1] - p1.area};
@@ -454,17 +525,6 @@ Solve_result solve_multi_asic_bb(Session& session,
                 mo.cancel = options.cancel;
 
                 if (options.use_pruning) {
-                    // Budget-free bound: no placement of this pair can
-                    // save more than multi_max_gain, whatever the
-                    // controller areas turn out to be.
-                    const double gain_time =
-                        all_sw - pace::multi_max_gain(mcosts);
-                    if (gain_time > threshold + slack) {
-                        ++chunk.n_pruned;
-                        if (!(gain_time > local_thr + slack))
-                            ++chunk.n_pruned_remote;
-                        continue;
-                    }
                     // Screening pass: the sparse DP's optimal value
                     // without the traceback arena.  A killed pair was
                     // scored — it counts as evaluated, like the
@@ -507,11 +567,6 @@ Solve_result solve_multi_asic_bb(Session& session,
             if (chunk.stopped)
                 break;
         }
-        if (options.use_cache && cache != nullptr) {
-            chunk.stats = cache == chunk0_cache
-                              ? cache->stats().minus(shared_before)
-                              : cache->stats();
-        }
     };
 
     std::size_t chunks_skipped = 0;
@@ -544,7 +599,6 @@ Solve_result solve_multi_asic_bb(Session& session,
         out.multi.rows_pruned += chunk.rows_pruned;
         out.multi.dp_states_swept += chunk.dp_states_swept;
         out.multi.dp_cells_dense += chunk.dp_cells_dense;
-        out.cache_stats += chunk.stats;
         if (chunk.have_best &&
             (!have_best || search::better_tuple(chunk.best_time,
                                                 chunk.best_area_sum,
@@ -552,9 +606,9 @@ Solve_result solve_multi_asic_bb(Session& session,
             best_time = chunk.best_time;
             best_area_sum = chunk.best_area_sum;
             const auto& p0 =
-                axis[0][static_cast<std::size_t>(chunk.best_i)];
+                points[axis[0][static_cast<std::size_t>(chunk.best_i)]];
             const auto& p1 =
-                axis[1][static_cast<std::size_t>(chunk.best_j)];
+                points[axis[1][static_cast<std::size_t>(chunk.best_j)]];
             out.multi.datapaths = {p0.alloc, p1.alloc};
             out.multi.datapath_area = {p0.area, p1.area};
             out.multi.partition = chunk.best_partition;

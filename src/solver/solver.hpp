@@ -162,8 +162,9 @@ struct Multi_asic_extras {
 /// throws).  Where a flat knob cannot apply it says so below, rather
 /// than pretending: hill_climb and multi_asic_bb evaluate *through*
 /// memoized costs by construction, so for them use_cache=false only
-/// drops the shared session cache (each worker still memoizes
-/// privately, bounded by cache_capacity).  For hill_climb,
+/// drops the shared session cache (hill_climb workers still memoize
+/// privately, bounded by cache_capacity; multi_asic_bb fetches its
+/// per-solve axis cost block through one throwaway cache).  For hill_climb,
 /// use_pruning toggles the admissible proxy-cost screen on neighbour
 /// evaluation (Eval_cache::find_one + optimistic stand-in costs;
 /// candidates the proxy proves non-improving skip their exact screen

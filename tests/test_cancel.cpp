@@ -21,6 +21,9 @@
 #include <string>
 #include <thread>
 
+#include "apps/apps.hpp"
+#include "core/analysis.hpp"
+#include "core/restrictions.hpp"
 #include "hw/target.hpp"
 #include "solver/solver.hpp"
 #include "util/cancel.hpp"
@@ -335,6 +338,49 @@ TEST(AnytimeSolve, expired_deadline_reports_deadline_status)
         const auto r = session.solve(strategy, options);
         EXPECT_EQ(r.status, lu::Solve_status::deadline) << strategy;
         EXPECT_GT(r.rows_abandoned + r.chunks_abandoned, 0) << strategy;
+    }
+}
+
+// multi_asic_bb fetches every walked axis point's costs serially
+// before its workers start — on a real app the largest share of a
+// cold solve.  The fill polls the token once per point, so an expired
+// deadline returns at once: no incumbent, every row abandoned, no
+// cost fetched, on every thread count.
+TEST(AnytimeSolve, multi_asic_expired_deadline_stops_the_cost_fill)
+{
+    const auto lib = lh::make_default_library();
+    const auto app = lycos::apps::make_straight();
+    lso::Problem p;
+    p.bsbs = app.bsbs;
+    p.lib = &lib;
+    p.target = lh::make_default_target(app.asic_area);
+    p.restrictions = lycos::core::compute_restrictions(
+        lycos::core::analyze(app.bsbs, lib, p.target.gates), lib);
+    p.area_quantum = app.asic_area / 512.0;
+
+    for (const int n_threads : {1, 4}) {
+        lso::Session session(p);
+        lso::Solve_options options;
+        options.n_threads = n_threads;
+        options.deadline_ms = 1e-6;  // expired by the first poll
+        const auto r = session.solve("multi_asic_bb", options);
+        EXPECT_EQ(r.status, lu::Solve_status::deadline) << n_threads;
+        EXPECT_FALSE(r.have_best) << n_threads;
+        EXPECT_EQ(r.n_evaluated + r.n_pruned, 0) << n_threads;
+        EXPECT_EQ(r.multi.rows_visited, 0) << n_threads;
+        EXPECT_EQ(r.rows_abandoned, r.multi.axis_points[0]) << n_threads;
+        EXPECT_EQ(session.cache().stats().hits +
+                      session.cache().stats().misses,
+                  0)
+            << n_threads;
+
+        // Without the deadline the same session fetches and walks.
+        options.deadline_ms = 0.0;
+        options.extras = lso::Multi_asic_extras{.pair_limit = 2000};
+        const auto walked = session.solve("multi_asic_bb", options);
+        EXPECT_EQ(walked.status, lu::Solve_status::complete);
+        EXPECT_TRUE(walked.have_best);
+        EXPECT_GT(walked.cache_stats.misses, 0);
     }
 }
 

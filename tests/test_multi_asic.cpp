@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "apps/apps.hpp"
 #include "core/multi_allocator.hpp"
@@ -268,6 +269,50 @@ std::vector<lp::Multi_state> pruned(const std::vector<lp::Multi_state>& states,
 }
 
 }  // namespace
+
+// The pair walk screens with multi_max_gain over per-point terms
+// precomputed once per axis point; that form must equal the
+// combined-cost bound bit for bit — infeasible sides, losing
+// hardware and negative adjacency included — and stay admissible.
+TEST(MultiMaxGain, per_asic_terms_match_the_combined_bound)
+{
+    constexpr double inf = std::numeric_limits<double>::infinity();
+    lycos::util::Rng rng(91);
+    std::vector<double> g0;
+    std::vector<double> g1;
+    for (int trial = 0; trial < 200; ++trial) {
+        const int n = rng.uniform_int(1, 8);
+        std::vector<lp::Multi_bsb_cost> costs;
+        std::array<std::vector<lp::Bsb_cost>, 2> split;
+        for (int i = 0; i < n; ++i) {
+            auto c = make_cost(rng.uniform_real(100.0, 3000.0),
+                               rng.uniform_real(50.0, 4000.0),
+                               rng.uniform_real(50.0, 4000.0),
+                               rng.uniform_int(1, 40), rng.uniform_int(1, 40),
+                               rng.uniform_real(-30.0, 50.0),
+                               rng.uniform_real(-30.0, 50.0));
+            for (auto& h : c.hw) {
+                h.comm = rng.uniform_real(0.0, 200.0);
+                if (rng.uniform_int(0, 5) == 0) {
+                    h.t_hw = inf;
+                    h.ctrl_area = inf;
+                }
+            }
+            costs.push_back(c);
+            split[0].push_back(c.hw[0]);
+            split[1].push_back(c.hw[1]);
+        }
+        lp::multi_gain_terms(split[0], g0);
+        lp::multi_gain_terms(split[1], g1);
+        const double combined = lp::multi_max_gain(costs);
+        EXPECT_EQ(lp::multi_max_gain(g0, g1), combined) << "trial " << trial;
+
+        const auto best = brute_force(costs, {1e9, 1e9});
+        EXPECT_LE(best.time_all_sw_ns - best.time_hybrid_ns,
+                  combined + 1e-9 * best.time_all_sw_ns)
+            << "trial " << trial;
+    }
+}
 
 TEST(MultiStateSet, keeps_incomparable_drops_dominated)
 {

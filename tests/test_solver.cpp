@@ -6,7 +6,9 @@
 // chunking, equal to a brute-force pair scan).
 #include <gtest/gtest.h>
 
+#include <array>
 #include <limits>
+#include <string>
 
 #include "apps/apps.hpp"
 #include "apps/random_app.hpp"
@@ -561,4 +563,165 @@ TEST(MultiAsicBb, respects_budgets)
     EXPECT_LE(r.multi.partition.ctrl_area_used[0] +
                   r.multi.datapath_area[0],
               target.asic.total_area + 1e-9);
+}
+
+// ------------------------------------------- the axis cost block on straight
+//
+// straight, the smallest Table 1 app, at its full restrictions: a real
+// pair space where the per-solve axis cost block carries every walked
+// point.  At 65/35 the asic1 axis is a strict subsequence of the
+// asic0 one, so the block's per-axis index vectors are exercised.
+// The DP grid is coarser than the benchmark's (1/64 of the area, not
+// 1/512) so the unpruned reference walks stay cheap under sanitizers.
+
+namespace {
+
+class Straight {
+public:
+    Straight()
+        : lib_(lh::make_default_library()),
+          app_(lycos::apps::make_straight()),
+          target_(lh::make_default_target(app_.asic_area)),
+          restrictions_(lc::compute_restrictions(
+              lc::analyze(app_.bsbs, lib_, target_.gates), lib_))
+    {
+    }
+
+    /// {0, 0} is the even split.
+    lso::Problem problem(std::array<double, 2> split) const
+    {
+        lso::Problem p;
+        p.bsbs = app_.bsbs;
+        p.lib = &lib_;
+        p.target = target_;
+        p.restrictions = restrictions_;
+        p.ctrl_mode = lp::Controller_mode::list_schedule;
+        p.area_quantum = app_.asic_area / 64.0;
+        p.asic_areas = {split[0] * app_.asic_area, split[1] * app_.asic_area};
+        return p;
+    }
+
+private:
+    lh::Hw_library lib_;
+    lycos::apps::App app_;
+    lh::Target target_;
+    lc::Rmap restrictions_;
+};
+
+/// The flat reference walk: one thread, no pruning, no row bound.
+lso::Solve_options flat_reference_options(long long pair_limit = 0)
+{
+    lso::Solve_options o;
+    o.n_threads = 1;
+    o.use_pruning = false;
+    o.extras = lso::Multi_asic_extras{.pair_limit = pair_limit,
+                                      .use_row_bound = false};
+    return o;
+}
+
+void expect_same_pair(const lso::Solve_result& r,
+                      const lso::Solve_result& reference,
+                      const std::string& what)
+{
+    ASSERT_TRUE(r.have_best) << what;
+    EXPECT_EQ(r.multi.datapaths, reference.multi.datapaths) << what;
+    EXPECT_EQ(r.multi.datapath_area, reference.multi.datapath_area) << what;
+    EXPECT_EQ(r.multi.partition.time_hybrid_ns,
+              reference.multi.partition.time_hybrid_ns)
+        << what;
+    EXPECT_EQ(r.multi.partition.placement, reference.multi.partition.placement)
+        << what;
+    EXPECT_EQ(r.multi.pairs_skipped, reference.multi.pairs_skipped) << what;
+}
+
+}  // namespace
+
+TEST(MultiAsicBb, straight_asymmetric_split_matches_flat_reference)
+{
+    const Straight straight;
+    lso::Session session(straight.problem({0.65, 0.35}));
+    const auto reference =
+        session.solve("multi_asic_bb", flat_reference_options());
+    ASSERT_TRUE(reference.have_best);
+    ASSERT_GT(reference.multi.axis_points[0], reference.multi.axis_points[1]);
+    EXPECT_EQ(reference.n_evaluated, reference.space_size);
+
+    for (int n_threads : {1, 2, 4}) {
+        for (bool use_pruning : {false, true}) {
+            for (bool use_cache : {false, true}) {
+                lso::Solve_options o;
+                o.n_threads = n_threads;
+                o.use_pruning = use_pruning;
+                o.use_cache = use_cache;
+                const auto r = session.solve("multi_asic_bb", o);
+                expect_same_pair(r, reference,
+                                 std::to_string(n_threads) + " threads, " +
+                                     "pruning " + std::to_string(use_pruning) +
+                                     ", cache " + std::to_string(use_cache));
+                EXPECT_EQ(r.n_evaluated + r.n_pruned, r.space_size);
+            }
+        }
+    }
+}
+
+TEST(MultiAsicBb, straight_partial_row_prefix_matches_flat_reference)
+{
+    const Straight straight;
+    lso::Session session(straight.problem({0.65, 0.35}));
+    const long long f1 =
+        session.solve("multi_asic_bb", flat_reference_options(1))
+            .multi.axis_points[1];
+    ASSERT_GT(f1, 2);
+
+    // Below f1: one partial row, and only part of the asic1 axis is
+    // reachable — the block and the row relaxation cover that prefix.
+    // Past f1: a full row plus a partial one, split across workers.
+    for (const long long limit : {f1 / 2 + 1, f1 + f1 / 3}) {
+        const auto reference =
+            session.solve("multi_asic_bb", flat_reference_options(limit));
+        ASSERT_EQ(reference.n_evaluated, limit);
+        for (int n_threads : {1, 2, 4}) {
+            for (bool use_pruning : {false, true}) {
+                for (bool use_cache : {false, true}) {
+                    lso::Solve_options o;
+                    o.n_threads = n_threads;
+                    o.use_pruning = use_pruning;
+                    o.use_cache = use_cache;
+                    o.extras = lso::Multi_asic_extras{.pair_limit = limit};
+                    const auto r = session.solve("multi_asic_bb", o);
+                    expect_same_pair(
+                        r, reference,
+                        "limit " + std::to_string(limit) + ", " +
+                            std::to_string(n_threads) + " threads, pruning " +
+                            std::to_string(use_pruning) + ", cache " +
+                            std::to_string(use_cache));
+                    EXPECT_EQ(r.n_evaluated + r.n_pruned, limit);
+                }
+            }
+        }
+    }
+}
+
+TEST(MultiAsicBb, uncached_solve_leaves_shared_cache_untouched)
+{
+    const Straight straight;
+    lso::Session session(straight.problem({0.0, 0.0}));
+    lse::Eval_cache shared(session.context());
+
+    lso::Solve_options o;
+    o.shared_cache = &shared;
+    o.extras = lso::Multi_asic_extras{.pair_limit = 20000};
+    const auto cached = session.solve("multi_asic_bb", o);
+    ASSERT_GT(shared.entries(), 0u);
+    EXPECT_GT(cached.cache_stats.hits + cached.cache_stats.misses, 0);
+
+    const auto before = shared.stats();
+    const auto entries_before = shared.entries();
+    o.use_cache = false;
+    const auto uncached = session.solve("multi_asic_bb", o);
+    EXPECT_EQ(shared.stats().hits, before.hits);
+    EXPECT_EQ(shared.stats().misses, before.misses);
+    EXPECT_EQ(shared.stats().evictions, before.evictions);
+    EXPECT_EQ(shared.entries(), entries_before);
+    expect_same_pair(uncached, cached, "uncached vs cached");
 }
