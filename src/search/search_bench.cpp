@@ -308,25 +308,45 @@ Search_bench_result run_search_bench(const Search_bench_config& config)
         // sweep (single thread, cached, no pruning — so the armed
         // token changes no work, only adds the polls) with a token
         // whose deadline is an hour away, against the same sweep with
-        // no token at all.  min-of-3 on both sides; the gate allows a
-        // small absolute floor so timer noise on a fast sweep cannot
-        // fail it spuriously.
-        const auto min_of3 = [&](const util::Cancel_token* token) {
-            double best = std::numeric_limits<double>::infinity();
-            for (int i = 0; i < 3; ++i) {
-                Exhaustive_options eo;
-                eo.n_threads = 1;
-                eo.use_cache = true;
-                eo.use_pruning = false;
-                eo.cancel = token;
-                best = std::min(
-                    best, exhaustive_engine(ctx, restrictions, eo).seconds);
-            }
-            return best;
-        };
-        out.deadline_secs_no_token = min_of3(nullptr);
+        // no token at all.  One sweep takes a few ms, so the two sides
+        // alternate sweep by sweep (each pair led by the other side in
+        // turn, so a slow stretch of the host lands on both) until
+        // each side has run for at least 100 ms, and the gate compares
+        // the per-sweep medians.  It keeps a small absolute floor for
+        // timer noise.
         const util::Cancel_token far_deadline(3.6e6, 0, 0, {});
-        out.deadline_secs_token = min_of3(&far_deadline);
+        const auto sweep_seconds = [&](const util::Cancel_token* token) {
+            Exhaustive_options eo;
+            eo.n_threads = 1;
+            eo.use_cache = true;
+            eo.use_pruning = false;
+            eo.cancel = token;
+            return exhaustive_engine(ctx, restrictions, eo).seconds;
+        };
+        constexpr double k_poll_side_secs = 0.1;
+        std::vector<double> no_token;
+        std::vector<double> token;
+        double no_token_total = 0.0;
+        double token_total = 0.0;
+        while (no_token_total < k_poll_side_secs ||
+               token_total < k_poll_side_secs) {
+            const bool token_first = no_token.size() % 2 == 1;
+            if (token_first)
+                token.push_back(sweep_seconds(&far_deadline));
+            no_token.push_back(sweep_seconds(nullptr));
+            if (!token_first)
+                token.push_back(sweep_seconds(&far_deadline));
+            no_token_total += no_token.back();
+            token_total += token.back();
+        }
+        const auto median = [](std::vector<double>& v) {
+            const auto mid = v.begin() + static_cast<long>(v.size() / 2);
+            std::nth_element(v.begin(), mid, v.end());
+            return *mid;
+        };
+        out.deadline_poll_sweeps = static_cast<int>(no_token.size());
+        out.deadline_secs_no_token = median(no_token);
+        out.deadline_secs_token = median(token);
         out.deadline_poll_overhead =
             out.deadline_secs_no_token > 0.0
                 ? out.deadline_secs_token / out.deadline_secs_no_token - 1.0
@@ -827,6 +847,7 @@ std::string to_json(const Search_bench_config& config,
         << "  \"deadline\": {\"secs_no_token\": "
         << result.deadline_secs_no_token
         << ", \"secs_token\": " << result.deadline_secs_token
+        << ", \"poll_sweeps\": " << result.deadline_poll_sweeps
         << ", \"poll_overhead\": " << result.deadline_poll_overhead
         << ", \"overhead_ok\": "
         << (result.deadline_overhead_ok ? "true" : "false")
@@ -1019,9 +1040,11 @@ void print_summary(std::ostream& out, const Search_bench_result& result)
         << (result.dist_matches_local ? "match" : "MISMATCH") << ")\n"
         << "  cancel-token poll overhead:   "
         << util::fixed(100.0 * result.deadline_poll_overhead, 2) << "% ("
-        << util::fixed(result.deadline_secs_no_token * 1e3, 1)
-        << " ms -> " << util::fixed(result.deadline_secs_token * 1e3, 1)
-        << " ms; " << (result.deadline_overhead_ok ? "ok" : "TOO SLOW")
+        << util::fixed(result.deadline_secs_no_token * 1e3, 2)
+        << " ms -> " << util::fixed(result.deadline_secs_token * 1e3, 2)
+        << " ms, medians of " << result.deadline_poll_sweeps
+        << " interleaved sweeps a side; "
+        << (result.deadline_overhead_ok ? "ok" : "TOO SLOW")
         << ")\n"
         << "  same best allocation: " << (result.same_best ? "yes" : "NO")
         << " (pruned vs unpruned: "

@@ -167,12 +167,14 @@ struct Search_bench_result {
     /// Deadline/anytime section (docs/api.md "Deadlines, budgets, and
     /// anytime results"): the poll-overhead gate — an armed but
     /// never-tripping Cancel_token on the new_single sweep must cost
-    /// under 1% wall time (min-of-3 on both sides, small absolute
-    /// noise floor) — plus incumbent quality under 1/10/100 ms
-    /// deadlines (informational: what a deadline buys depends on the
-    /// host's speed, so only the overhead is gated).
-    double deadline_secs_no_token = 0.0;  ///< min-of-3, token disabled
-    double deadline_secs_token = 0.0;     ///< min-of-3, far-deadline token
+    /// under 1% wall time (per-sweep medians over interleaved sweeps,
+    /// at least 100 ms a side, small absolute noise floor) — plus
+    /// incumbent quality under 1/10/100 ms deadlines (informational:
+    /// what a deadline buys depends on the host's speed, so only the
+    /// overhead is gated).
+    double deadline_secs_no_token = 0.0;  ///< median sweep, no token
+    double deadline_secs_token = 0.0;     ///< median sweep, far deadline
+    int deadline_poll_sweeps = 0;         ///< sweeps run on each side
     double deadline_poll_overhead = 0.0;  ///< token / no-token - 1
     bool deadline_overhead_ok = false;    ///< < 1% (+2 ms noise floor)
     std::array<double, 3> deadline_ms_points{1.0, 10.0, 100.0};

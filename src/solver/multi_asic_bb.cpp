@@ -25,29 +25,41 @@
 //   * surviving rows run the per-pair ladder: multi_max_gain over the
 //     precomputed per-point gain terms, then the sparse screening DP,
 //     then the full sparse partition with traceback,
-//   * rows are dispatched chunk-parallel over the Session pool (one
-//     contiguous row range per worker, a private Multi_pace_workspace,
-//     the cost block shared read-only, in-order reduction),
+//   * rows are claimed dynamically: n_threads pool tasks each take
+//     the next a0 row from one atomic counter and run it on their own
+//     session workspace slot, the cost block shared read-only,
+//   * the workers share one time-to-beat: every full partition
+//     tightens a per-solve util::Shared_bound, and every row and pair
+//     threshold is min(primed time, own best, solve bound, external
+//     bound), so a strong pair found by one worker prunes in all,
+//   * the reduce folds the per-worker bests by the strict
+//     (time, combined area) comparison and, on an exact tie, the lower
+//     (a0 row, a1 column) pair index — no chunk order is needed,
 //   * pair_limit is a *soft* guard: a pair space beyond it is walked
 //     up to exactly pair_limit pairs in a0-major order —
-//     deterministically, whatever the chunking — with the remainder
-//     reported as Multi_solve_result::pairs_skipped instead of
-//     thrown.  Incumbent priming is disabled in that case, so every
+//     deterministically, whatever the thread count — with the
+//     remainder reported as Multi_solve_result::pairs_skipped instead
+//     of thrown.  Incumbent priming is disabled in that case, so every
 //     prune compares against a pair inside the walked prefix and the
 //     best pair equals the brute-force best of the prefix.
 //
 // Every prune (row or pair) removes only pairs provably worse in
 // time than a pair that is actually evaluated, and the reduction
-// applies the same strict comparison in enumeration order — so the
-// best (time, combined area, pair) tuple is bit-identical to the
-// brute-force pair scan for any thread count, chunking, or bound
-// setting, the determinism contract all strategies carry.
+// resolves exact ties to the lowest pair index, as the enumeration
+// does — so the best (time, combined area, pair) tuple is
+// bit-identical to the brute-force pair scan for any thread count,
+// claim schedule, or bound setting, the determinism contract all
+// strategies carry.  Which pairs are pruned rather than evaluated
+// does depend on the schedule: n_evaluated, n_pruned and rows_pruned
+// are not thread-count invariant.
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <limits>
 #include <optional>
 #include <span>
+#include <utility>
 #include <stdexcept>
 
 #include "search/alloc_space.hpp"
@@ -97,8 +109,10 @@ struct Axis_block {
     }
 };
 
-/// What one worker accumulates over its chunk of the row range.
-struct Pair_chunk {
+/// What one worker accumulates over the rows it claims.  Cache-line
+/// aligned: workers bump their counters per pair, and neighbouring
+/// accumulators must not share a line.
+struct alignas(64) Pair_worker {
     bool have_best = false;
     double best_time = 0.0;
     double best_area_sum = 0.0;
@@ -369,7 +383,7 @@ Solve_result solve_multi_asic_bb(Session& session,
         // Priming is only sound when the greedy pair is guaranteed to
         // be *walked*: with a truncated prefix it may lie outside, and
         // pruning against an unwalked pair could starve the prefix of
-        // its own best.  Prefix runs prune from chunk incumbents only.
+        // its own best.  Prefix runs prune from walked pairs only.
         // A cancellation token truncates the same way (at an index
         // unknown in advance), so it disables priming identically.
         if (options.use_pruning && out.multi.pairs_skipped == 0 &&
@@ -404,34 +418,48 @@ Solve_result solve_multi_asic_bb(Session& session,
     // repeat solve pays no re-allocation — the multi-ASIC share of the
     // serve layer's cross-request reuse.
     session.workspaces().prepare(n_threads);
-    std::vector<Pair_chunk> chunks(n_threads);
-    const auto run_chunk = [&](std::size_t c, long long row_begin,
-                               long long row_end) {
-        Pair_chunk& chunk = chunks[c];
+    std::vector<Pair_worker> workers(n_threads);
+    // The next unclaimed a0 row, and the solve's time-to-beat: the
+    // best full-partition time any worker has found so far.
+    std::atomic<long long> next_row{r_begin};
+    util::Shared_bound solve_bound;
+    const auto run_worker = [&](std::size_t c) {
+        Pair_worker& w = workers[c];
         std::vector<pace::Multi_bsb_cost> mcosts;
         // Per-worker workspace from the session pool: this lambda IS
-        // the task body, and distinct chunks use distinct slots.
+        // the task body, and distinct tasks use distinct slots.
         pace::Multi_pace_workspace& mws =
             session.workspaces().slot(c).multi;
+        // The local time-to-beat: the primed time and the solve bound
+        // (never above the worker's own best) are times of pairs this
+        // walk scores, so a kill against them is a local kill.
+        const auto local_threshold = [&] {
+            return std::min(prime_time, solve_bound.get());
+        };
         // External incumbent (a distributed coordinator's broadcast):
         // admissible by the Shared_bound contract, so min()ing it into
         // every threshold only removes pairs provably worse than a
         // fully evaluated real pair — the winning tuple is unchanged.
         const util::Shared_bound* ext = options.incumbent_bound;
         double ext_val = std::numeric_limits<double>::infinity();
-        for (long long i = row_begin; i < row_end; ++i) {
+        for (;;) {
+            // Claims are increasing per worker, so a worker's rows are
+            // walked in enumeration order.
+            const long long i =
+                next_row.fetch_add(1, std::memory_order_relaxed);
+            if (i >= r_end)
+                break;
             // Admission gate per a0 row — the thread-invariant work
             // unit: an injected cut walks exactly the rows below it,
-            // whatever the chunking, so truncated incumbents stay
+            // whatever the claim schedule, so truncated incumbents stay
             // bit-identical for any thread count.
             if (options.cancel != nullptr &&
                 !options.cancel->admit(static_cast<std::uint64_t>(i))) {
+                ++w.rows_abandoned;
                 if (options.cancel->tripped()) {
-                    chunk.rows_abandoned += row_end - i;
-                    chunk.stopped = true;
+                    w.stopped = true;
                     break;
                 }
-                ++chunk.rows_abandoned;
                 continue;
             }
             const auto& p0 = points[axis[0][static_cast<std::size_t>(i)]];
@@ -439,11 +467,9 @@ Solve_result solve_multi_asic_bb(Session& session,
             const long long j_end = std::min(f1, walked - i * f1);
             const auto gain0 = block.gain_of(p0.row);
             set_asic0_costs(block.costs_of(p0.row), mcosts);
-            ++chunk.rows_visited;
+            ++w.rows_visited;
 
-            const double local_row =
-                chunk.have_best ? std::min(prime_time, chunk.best_time)
-                                : prime_time;
+            const double local_row = local_threshold();
             if (ext != nullptr)
                 ext_val = ext->get();
             const double threshold_row = std::min(local_row, ext_val);
@@ -468,36 +494,34 @@ Solve_result solve_multi_asic_bb(Session& session,
                     mo.cancel = options.cancel;
                     const double bound_saving =
                         pace::multi_pace_best_saving(mcosts, mo, &mws);
-                    chunk.dp_states_swept += mws.last_cells_swept();
-                    chunk.dp_cells_dense += mws.last_cells_dense();
+                    w.dp_states_swept += mws.last_cells_swept();
+                    w.dp_cells_dense += mws.last_cells_dense();
                     bound_time = all_sw - bound_saving;
                     killed = bound_time > threshold_row + slack;
                 }
                 if (killed) {
-                    chunk.n_pruned += j_end;
+                    w.n_pruned += j_end;
                     // A kill the local threshold alone would not have
                     // made is credited to the remote bound.
                     if (!(bound_time > local_row + slack))
-                        chunk.n_pruned_remote += j_end;
-                    ++chunk.rows_pruned;
+                        w.n_pruned_remote += j_end;
+                    ++w.rows_pruned;
                     continue;
                 }
             }
 
             for (long long j = 0; j < j_end; ++j) {
                 // Live-condition poll once per pair: a tripped token
-                // abandons the rest of the chunk's rows and keeps the
+                // abandons this row and stops the worker, keeping the
                 // incumbent found so far.
                 if (options.cancel != nullptr && options.cancel->stop()) {
-                    chunk.rows_abandoned += row_end - i;
-                    chunk.stopped = true;
+                    ++w.rows_abandoned;
+                    w.stopped = true;
                     break;
                 }
                 const auto& p1 = points[axis[1][static_cast<std::size_t>(j)]];
 
-                const double local_thr =
-                    chunk.have_best ? std::min(prime_time, chunk.best_time)
-                                    : prime_time;
+                const double local_thr = local_threshold();
                 if (ext != nullptr)
                     ext_val = ext->get();
                 const double threshold = std::min(local_thr, ext_val);
@@ -510,9 +534,9 @@ Solve_result solve_multi_asic_bb(Session& session,
                         all_sw -
                         pace::multi_max_gain(gain0, block.gain_of(p1.row));
                     if (gain_time > threshold + slack) {
-                        ++chunk.n_pruned;
+                        ++w.n_pruned;
                         if (!(gain_time > local_thr + slack))
-                            ++chunk.n_pruned_remote;
+                            ++w.n_pruned_remote;
                         continue;
                     }
                 }
@@ -531,13 +555,13 @@ Solve_result solve_multi_asic_bb(Session& session,
                     // single-ASIC walker's screened leaves.
                     const double saving =
                         pace::multi_pace_best_saving(mcosts, mo, &mws);
-                    chunk.dp_states_swept += mws.last_cells_swept();
-                    chunk.dp_cells_dense += mws.last_cells_dense();
+                    w.dp_states_swept += mws.last_cells_swept();
+                    w.dp_cells_dense += mws.last_cells_dense();
                     const double screen_time = all_sw - saving;
                     if (screen_time > threshold + slack) {
-                        ++chunk.n_evaluated;
+                        ++w.n_evaluated;
                         if (!(screen_time > local_thr + slack))
-                            ++chunk.n_pruned_remote;
+                            ++w.n_pruned_remote;
                         if (options.cancel != nullptr)
                             options.cancel->charge_evals(1);
                         continue;
@@ -546,77 +570,82 @@ Solve_result solve_multi_asic_bb(Session& session,
 
                 const auto full =
                     pace::multi_pace_partition(mcosts, mo, &mws);
-                chunk.dp_states_swept += mws.last_cells_swept();
-                chunk.dp_cells_dense += mws.last_cells_dense();
-                ++chunk.n_evaluated;
+                w.dp_states_swept += mws.last_cells_swept();
+                w.dp_cells_dense += mws.last_cells_dense();
+                ++w.n_evaluated;
                 if (options.cancel != nullptr)
                     options.cancel->charge_evals(1);
+                solve_bound.tighten(full.time_hybrid_ns);
                 const double area_sum = p0.area + p1.area;
-                if (!chunk.have_best ||
+                if (!w.have_best ||
                     search::better_tuple(full.time_hybrid_ns, area_sum,
-                                         chunk.best_time,
-                                         chunk.best_area_sum)) {
-                    chunk.best_time = full.time_hybrid_ns;
-                    chunk.best_area_sum = area_sum;
-                    chunk.best_i = i;
-                    chunk.best_j = j;
-                    chunk.best_partition = full;
-                    chunk.have_best = true;
+                                         w.best_time, w.best_area_sum)) {
+                    w.best_time = full.time_hybrid_ns;
+                    w.best_area_sum = area_sum;
+                    w.best_i = i;
+                    w.best_j = j;
+                    w.best_partition = full;
+                    w.have_best = true;
                 }
             }
-            if (chunk.stopped)
+            if (w.stopped)
                 break;
         }
     };
 
-    std::size_t chunks_skipped = 0;
+    std::size_t workers_skipped = 0;
     if (n_threads == 1) {
-        run_chunk(0, r_begin, r_end);
+        run_worker(0);
     }
     else {
-        const auto run_chunk_abs = [&](std::size_t c, long long begin,
-                                       long long end) {
-            run_chunk(c, r_begin + begin, r_begin + end);
-        };
-        chunks_skipped =
-            util::parallel_chunks(session.pool(n_threads), n_rows_work,
-                                  n_threads, run_chunk_abs,
-                                  options.cancel);
+        // One pool task per worker; the rows are claimed, not split.
+        workers_skipped = util::parallel_chunks(
+            session.pool(n_threads), static_cast<long long>(n_threads),
+            n_threads,
+            [&](std::size_t c, long long, long long) { run_worker(c); },
+            options.cancel);
     }
 
-    // Reduce in chunk (= enumeration) order with the same strict
-    // comparison, so ties resolve toward the lowest pair index.
-    bool have_best = false;
-    double best_time = 0.0;
-    double best_area_sum = 0.0;
-    for (const auto& chunk : chunks) {
-        out.n_evaluated += chunk.n_evaluated;
-        out.n_pruned += chunk.n_pruned;
-        out.n_pruned_remote += chunk.n_pruned_remote;
-        out.rows_abandoned += chunk.rows_abandoned;
-        out.chunks_abandoned += chunk.stopped ? 1 : 0;
-        out.multi.rows_visited += chunk.rows_visited;
-        out.multi.rows_pruned += chunk.rows_pruned;
-        out.multi.dp_states_swept += chunk.dp_states_swept;
-        out.multi.dp_cells_dense += chunk.dp_cells_dense;
-        if (chunk.have_best &&
-            (!have_best || search::better_tuple(chunk.best_time,
-                                                chunk.best_area_sum,
-                                                best_time, best_area_sum))) {
-            best_time = chunk.best_time;
-            best_area_sum = chunk.best_area_sum;
-            const auto& p0 =
-                points[axis[0][static_cast<std::size_t>(chunk.best_i)]];
-            const auto& p1 =
-                points[axis[1][static_cast<std::size_t>(chunk.best_j)]];
-            out.multi.datapaths = {p0.alloc, p1.alloc};
-            out.multi.datapath_area = {p0.area, p1.area};
-            out.multi.partition = chunk.best_partition;
-            have_best = true;
-        }
+    // Fold the worker bests.  A worker keeps the first of its exact
+    // ties, its lowest pair index; across workers an exact tie goes to
+    // the lower (row, column) index — the pair the enumeration-order
+    // scan keeps, so the (x,y)/(y,x) ties of an even split resolve as
+    // on one thread.
+    const Pair_worker* best = nullptr;
+    for (const auto& w : workers) {
+        out.n_evaluated += w.n_evaluated;
+        out.n_pruned += w.n_pruned;
+        out.n_pruned_remote += w.n_pruned_remote;
+        out.rows_abandoned += w.rows_abandoned;
+        out.chunks_abandoned += w.stopped ? 1 : 0;
+        out.multi.rows_visited += w.rows_visited;
+        out.multi.rows_pruned += w.rows_pruned;
+        out.multi.dp_states_swept += w.dp_states_swept;
+        out.multi.dp_cells_dense += w.dp_cells_dense;
+        if (!w.have_best)
+            continue;
+        if (best == nullptr ||
+            search::better_tuple(w.best_time, w.best_area_sum,
+                                 best->best_time, best->best_area_sum) ||
+            (!search::better_tuple(best->best_time, best->best_area_sum,
+                                   w.best_time, w.best_area_sum) &&
+             std::pair(w.best_i, w.best_j) <
+                 std::pair(best->best_i, best->best_j)))
+            best = &w;
     }
-    out.have_best = have_best;
-    out.chunks_abandoned += static_cast<long long>(chunks_skipped);
+    if (best != nullptr) {
+        const auto& p0 =
+            points[axis[0][static_cast<std::size_t>(best->best_i)]];
+        const auto& p1 =
+            points[axis[1][static_cast<std::size_t>(best->best_j)]];
+        out.multi.datapaths = {p0.alloc, p1.alloc};
+        out.multi.datapath_area = {p0.area, p1.area};
+        out.multi.partition = best->best_partition;
+    }
+    out.have_best = best != nullptr;
+    // Rows no worker claimed before a trip are abandoned too.
+    out.rows_abandoned += r_end - std::min(next_row.load(), r_end);
+    out.chunks_abandoned += static_cast<long long>(workers_skipped);
     if (options.cancel != nullptr) {
         out.status = options.cancel->status();
         if (out.status == util::Solve_status::complete &&

@@ -327,8 +327,10 @@ struct Solve_result {
 
     /// Truncation observability: worker chunks that stopped early (or
     /// never started) and finer work units — restarts, a0 rows,
-    /// subtree leaves — refused or abandoned.  Like n_evaluated these
-    /// depend on the chunking; only the best tuple is pinned.
+    /// subtree leaves — refused, abandoned or never claimed.  Like
+    /// n_evaluated these depend on the chunking (and, for
+    /// multi_asic_bb's dynamically claimed rows, on the schedule);
+    /// only the best tuple is pinned.
     long long chunks_abandoned = 0;
     long long rows_abandoned = 0;
 

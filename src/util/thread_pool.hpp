@@ -1,11 +1,17 @@
 // Fixed-size worker-thread pool and a chunked parallel-for driver.
 //
-// The allocation search parallelizes by splitting the mixed-radix
-// index range into contiguous chunks, one task per chunk, with no work
-// stealing: chunks are coarse and equally sized, so static partitioning
-// keeps the reduction deterministic and the code simple.  The pool is
-// the reusable substrate (condition-variable task queue, the classic
-// idiom); parallel_chunks is the driver the search actually calls.
+// Two dispatch shapes run on it.  The exhaustive walker and the hill
+// climb split their logical unit range (mixed-radix leaves, restarts)
+// into contiguous, equally sized chunks, one task per chunk, and
+// reduce them in chunk order; the walker's incremental PACE
+// checkpoints rely on each worker walking one contiguous leaf range.
+// The two-ASIC pair search instead runs one task per worker
+// (parallel_chunks over [0, n_workers)), and each task claims a0 rows
+// from a shared atomic counter, so a worker that finishes early takes
+// more rows; its reduce breaks exact ties by pair index, not by task
+// order.  The pool is the reusable substrate (condition-variable task
+// queue, the classic idiom); parallel_chunks is the dispatch all three
+// call.
 //
 // Error propagation is deterministic: each submitted task carries a
 // sequence number, workers record the exception from the

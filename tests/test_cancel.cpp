@@ -384,6 +384,46 @@ TEST(AnytimeSolve, multi_asic_expired_deadline_stops_the_cost_fill)
     }
 }
 
+// multi_asic_bb workers claim a0 rows from one shared counter, so a
+// row is walked by whichever worker takes it next.  Every row must
+// still be accounted for: an injected cut at row k walks exactly rows
+// [0, k) and abandons the rest, and after a live trip the rows no
+// worker claimed count as abandoned too — on every thread count.
+TEST(AnytimeSolve, multi_asic_row_accounting_under_dynamic_claims)
+{
+    const auto lib = small_library();
+    const auto bsbs = small_app();
+    lso::Session session(small_problem(lib, bsbs));
+    const auto baseline = session.solve("multi_asic_bb", {});
+    const long long n_rows = baseline.multi.axis_points[0];
+    ASSERT_GT(n_rows, 4);
+
+    for (const int n_threads : {1, 2, 4, 8}) {
+        for (long long k = 0; k <= n_rows; ++k) {
+            const auto cut = static_cast<std::uint64_t>(k);
+            const auto one =
+                session.solve("multi_asic_bb", cut_options(cut, 1));
+            const auto r =
+                session.solve("multi_asic_bb", cut_options(cut, n_threads));
+            EXPECT_EQ(fingerprint(r, lib), fingerprint(one, lib))
+                << "cut=" << k << " threads=" << n_threads;
+            EXPECT_EQ(r.rows_abandoned, n_rows - k)
+                << "cut=" << k << " threads=" << n_threads;
+            EXPECT_EQ(r.multi.rows_visited, k)
+                << "cut=" << k << " threads=" << n_threads;
+        }
+
+        lso::Solve_options options;
+        options.n_threads = n_threads;
+        options.max_evals = 3;
+        const auto r = session.solve("multi_asic_bb", options);
+        EXPECT_EQ(r.status, lu::Solve_status::budget) << n_threads;
+        EXPECT_GT(r.rows_abandoned, 0) << n_threads;
+        EXPECT_GE(r.multi.rows_visited + r.rows_abandoned, n_rows)
+            << n_threads;
+    }
+}
+
 TEST(AnytimeSolve, eval_budget_reports_budget_status)
 {
     const auto lib = small_library();

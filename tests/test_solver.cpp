@@ -6,6 +6,7 @@
 // chunking, equal to a brute-force pair scan).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <limits>
 #include <string>
@@ -487,6 +488,103 @@ TEST(MultiAsicBb, pair_limit_truncates_deterministically)
         EXPECT_EQ(r.multi.partition.time_hybrid_ns,
                   prefix.multi.partition.time_hybrid_ns);
         EXPECT_EQ(r.multi.pairs_skipped, prefix.multi.pairs_skipped);
+    }
+}
+
+// Exact ties across workers.  At an even split both ASICs share one
+// axis, so (x, y) and (y, x) are the same design on swapped labels and
+// tie on (time, combined area).  Rows are claimed dynamically and the
+// workers share one time-to-beat, so the tied pairs land on different
+// workers in a schedule-dependent order; the reduce must still return
+// the pair the one-thread enumeration-order scan keeps, and every row
+// must be walked exactly once.
+TEST(MultiAsicBb, swapped_pair_ties_resolve_to_the_one_thread_pair)
+{
+    const auto lib = small_library();
+    const auto target = lh::make_default_target(3000.0);
+    // One multiply-bound and one add-bound hot block: the best design
+    // puts the multipliers on one ASIC and the adders on the other.
+    // Four cold mixed blocks lengthen each row's DPs, so the workers
+    // run side by side and the tied rows land on different workers.
+    std::vector<lb::Bsb> bsbs(6);
+    for (int i = 0; i < 4; ++i) {
+        bsbs[0].graph.add_op(Op_kind::mul);
+        bsbs[1].graph.add_op(Op_kind::add);
+    }
+    bsbs[0].profile = 100.0;
+    bsbs[1].profile = 100.0;
+    for (std::size_t k = 2; k < bsbs.size(); ++k) {
+        bsbs[k].graph.add_op(Op_kind::add);
+        bsbs[k].graph.add_op(Op_kind::mul);
+        bsbs[k].profile = 1.0;
+    }
+
+    lso::Problem p;
+    p.bsbs = bsbs;
+    p.lib = &lib;
+    p.target = target;
+    p.restrictions.set(0, 4);
+    p.restrictions.set(1, 2);
+    p.area_quantum = 1.0;
+
+    lso::Session session(p);
+    const auto reference = session.solve(
+        "multi_asic_bb", {.n_threads = 1, .use_pruning = false});
+    ASSERT_TRUE(reference.have_best);
+    const auto& pair = reference.multi.datapaths;
+    ASSERT_NE(pair[0], pair[1]);
+
+    // The swapped pair really is an exact tie, and the reference is
+    // the lower-indexed of the two.
+    const double half = target.asic.total_area / 2.0;
+    const auto costs = lp::build_multi_cost_model(bsbs, lib, target, pair[1],
+                                                  pair[0], p.ctrl_mode);
+    lp::Multi_pace_options mo;
+    mo.ctrl_area_budgets = {half - pair[1].area(lib), half - pair[0].area(lib)};
+    mo.area_quantum = p.area_quantum;
+    ASSERT_EQ(lp::multi_pace_partition(costs, mo).time_hybrid_ns,
+              reference.multi.partition.time_hybrid_ns);
+    std::vector<lc::Rmap> points;
+    const lse::Alloc_space space(lib, p.restrictions);
+    space.for_each(half, [&](const lc::Rmap& a) {
+        points.push_back(a);
+        return true;
+    });
+    const auto index_of = [&](const lc::Rmap& a) {
+        return std::find(points.begin(), points.end(), a) - points.begin();
+    };
+    ASSERT_LT(index_of(pair[0]), index_of(pair[1]));
+
+    for (const int n_threads : {2, 3, 4, 8}) {
+        for (const bool use_pruning : {false, true}) {
+            for (const bool use_row_bound : {false, true}) {
+                lso::Solve_options o;
+                o.n_threads = n_threads;
+                o.use_pruning = use_pruning;
+                o.extras =
+                    lso::Multi_asic_extras{.use_row_bound = use_row_bound};
+                for (int rep = 0; rep < 20; ++rep) {
+                    const auto r = session.solve("multi_asic_bb", o);
+                    const std::string what =
+                        std::to_string(n_threads) + " threads, pruning " +
+                        std::to_string(use_pruning) + ", row bound " +
+                        std::to_string(use_row_bound) + ", rep " +
+                        std::to_string(rep);
+                    EXPECT_EQ(r.multi.datapaths, pair) << what;
+                    EXPECT_EQ(r.multi.partition.placement,
+                              reference.multi.partition.placement)
+                        << what;
+                    EXPECT_EQ(r.multi.partition.time_hybrid_ns,
+                              reference.multi.partition.time_hybrid_ns)
+                        << what;
+                    EXPECT_EQ(r.n_evaluated + r.n_pruned, r.space_size)
+                        << what;
+                    EXPECT_EQ(r.multi.rows_visited,
+                              reference.multi.rows_visited)
+                        << what;
+                }
+            }
+        }
     }
 }
 
