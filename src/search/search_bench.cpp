@@ -231,11 +231,9 @@ Search_bench_result run_search_bench(const Search_bench_config& config)
         problem.area_quantum = config.asic_area / 256.0;
         // Asymmetric two-ASIC target for multi_asic_bb (ignored by
         // the single-ASIC strategies): a big primary chip plus a
-        // small secondary.  The interesting regime for the pair-tree
-        // row bound — with a generous symmetric split, a best-case
-        // asic1-only completion matches any incumbent and no a0 row
-        // can ever bound out; with a small secondary ASIC, rows whose
-        // a0 allocation cannot carry the load die wholesale.
+        // small secondary, so the two axes differ and the row bound
+        // reads separate per-ASIC optima (an even split walks one
+        // shared axis and skips the mirror pairs).
         problem.asic_areas = {config.asic_area * 0.65,
                               config.asic_area * 0.35};
         solver::Session session(problem);

@@ -10,21 +10,25 @@
 //   * every axis point the walk reads has its per-BSB costs fetched
 //     once per solve into one flat cost block (see Axis_block), so
 //     the pair loop indexes memory instead of hashing projections,
+//   * every point is bounded once per solve, in parallel over the
+//     pool: S_a(p), the best single-ASIC saving p's costs reach on
+//     ASIC a (the sparse value-only DP with the other ASIC
+//     infeasible, areas rounded optimistically).  A placement's
+//     saving splits exactly into its two per-ASIC restrictions — the
+//     adjacency credit applies only after a BSB on the same ASIC — so
+//     no pair (i, j) saves more than S_0(i) + S_1(j),
 //   * rows are the tree's first level: one a0 axis point = one row of
-//     f1 pairs.  Before any per-pair DP runs in a row, an admissible
-//     *row bound* may kill the whole row: the sparse value-only DP
-//     (multi_pace_best_saving) over the row's exact asic0 costs and a
-//     per-BSB best-case relaxation of every asic1 axis point (minimal
-//     t_hw/comm/ctrl_area, maximal adjacency saving over the axis,
-//     the axis's smallest data-path area as the budget debit), with
-//     Multi_pace_options::optimistic_rounding so quantization can
-//     only widen the bound.  No pair in the row can beat it, so a
-//     killed row prunes f1 pairs for one O(states) sweep — cheaper
-//     still, a budget-free multi_max_gain over the same relaxed costs
-//     screens the row in O(n) first,
-//   * surviving rows run the per-pair ladder: multi_max_gain over the
-//     precomputed per-point gain terms, then the sparse screening DP,
-//     then the full sparse partition with traceback,
+//     f1 pairs.  The O(1) *row bound* S_0(i) plus the suffix maximum
+//     of S_1 over the row's columns may kill the whole row before any
+//     per-pair DP runs,
+//   * surviving rows run the per-pair ladder: the separable bound
+//     S_0(i) + S_1(j), multi_max_gain over the precomputed per-point
+//     gain terms, then the sparse screening DP, then the full sparse
+//     partition with traceback,
+//   * at an even split (x, y) and (y, x) are the same design on
+//     swapped labels, with bit-identical DP results: the pruned walk
+//     scores only the j >= i half and counts the mirror pairs as
+//     pruned,
 //   * rows are claimed dynamically: n_threads pool tasks each take
 //     the next a0 row from one atomic counter and run it on their own
 //     session workspace slot, the cost block shared read-only,
@@ -44,7 +48,8 @@
 //     best pair equals the brute-force best of the prefix.
 //
 // Every prune (row or pair) removes only pairs provably worse in
-// time than a pair that is actually evaluated, and the reduction
+// time than a pair that is actually evaluated (a mirror pair ties
+// exactly with the walked pair of lower index), and the reduction
 // resolves exact ties to the lowest pair index, as the enumeration
 // does — so the best (time, combined area, pair) tuple is
 // bit-identical to the brute-force pair scan for any thread count,
@@ -53,14 +58,16 @@
 // does depend on the schedule: n_evaluated, n_pruned and rows_pruned
 // are not thread-count invariant.
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <limits>
 #include <optional>
 #include <span>
-#include <utility>
 #include <stdexcept>
+#include <utility>
+#include <vector>
 
 #include "search/alloc_space.hpp"
 #include "search/workspace_pool.hpp"
@@ -158,60 +165,29 @@ void combine_costs(std::span<const pace::Bsb_cost> c0,
     set_asic1_costs(c1, out);
 }
 
-/// Per-BSB best case over every asic1 axis point — the admissible
-/// relaxation behind the row bound.  Each field is optimistic
-/// independently (the jointly-best point need not exist), so any DP
-/// or gain bound over these costs upper-bounds every concrete pair's:
-/// minimal hardware and bus time, minimal controller area, maximal
-/// adjacency credit.  A BSB infeasible on the whole axis keeps the
-/// infinite cost and can only go to asic0 or software in the bound —
-/// exactly as in every concrete pair.
-struct Axis_relaxation {
-    std::vector<pace::Bsb_cost> best_case;  ///< per BSB
-    std::vector<double> gain;  ///< multi_gain_terms of best_case
-    double min_area = 0.0;     ///< smallest data-path area on the axis
-};
-
-Axis_relaxation relax_axis(std::span<const Axis_point> points,
-                           std::span<const std::uint32_t> axis,
-                           const Axis_block& block)
+/// S_a(p): the best saving point p's costs reach alone on an ASIC
+/// with `ctrl_budget` of controller area, the other ASIC infeasible.
+/// A pair's placement splits exactly into its two per-ASIC
+/// restrictions (the adjacency credit needs both BSBs on one ASIC),
+/// so its saving is at most S_0(p0) + S_1(p1); optimistic rounding
+/// keeps that true of every ceil-rounded pair DP at any quantum.
+double single_asic_saving(std::span<const pace::Bsb_cost> c,
+                          double ctrl_budget, double area_quantum,
+                          std::vector<pace::Multi_bsb_cost>& mcosts,
+                          pace::Multi_pace_workspace& mws)
 {
     constexpr double inf = std::numeric_limits<double>::infinity();
-    Axis_relaxation r;
-    r.min_area = inf;
-    for (const std::uint32_t p : axis) {
-        const Axis_point& point = points[p];
-        const auto costs = block.costs_of(point.row);
-        if (r.best_case.empty()) {
-            r.best_case.assign(costs.begin(), costs.end());
-            for (auto& c : r.best_case)
-                if (std::isinf(c.t_hw)) {
-                    c.comm = 0.0;
-                    c.save_prev = 0.0;
-                }
-        }
-        else {
-            for (std::size_t k = 0; k < costs.size(); ++k) {
-                auto& b = r.best_case[k];
-                const auto& c = costs[k];
-                if (std::isinf(c.t_hw))
-                    continue;
-                if (std::isinf(b.t_hw)) {
-                    b = c;
-                    continue;
-                }
-                b.t_hw = std::min(b.t_hw, c.t_hw);
-                b.comm = std::min(b.comm, c.comm);
-                b.ctrl_area = std::min(b.ctrl_area, c.ctrl_area);
-                b.save_prev = std::max(b.save_prev, c.save_prev);
-            }
-        }
-        r.min_area = std::min(r.min_area, point.area);
-    }
-    if (std::isinf(r.min_area))
-        r.min_area = 0.0;
-    pace::multi_gain_terms(r.best_case, r.gain);
-    return r;
+    pace::Bsb_cost infeasible;
+    infeasible.t_hw = inf;
+    infeasible.ctrl_area = inf;
+    set_asic0_costs(c, mcosts);
+    for (auto& m : mcosts)
+        m.hw[1] = infeasible;
+    pace::Multi_pace_options mo;
+    mo.ctrl_area_budgets = {ctrl_budget, 0.0};
+    mo.area_quantum = area_quantum;
+    mo.optimistic_rounding = true;
+    return pace::multi_pace_best_saving(mcosts, mo, &mws);
 }
 
 }  // namespace
@@ -278,7 +254,7 @@ Solve_result solve_multi_asic_bb(Session& session,
 
     // Resolve the a0-row window (a distributed range lease, or all
     // rows).  Everything derived from the full walk — axis lists,
-    // prefix truncation, priming, the row relaxation — is computed
+    // prefix truncation, priming, the mirror rule — is computed
     // identically whatever the window, so per-window bests fold to
     // the full-space best bit-identically.
     const long long r_begin =
@@ -301,13 +277,12 @@ Solve_result solve_multi_asic_bb(Session& session,
     const auto invariants = session.invariants();
 
     // Shared prep: the axis cost block, the all-software baseline, the
-    // float-safety slack, the asic1 axis relaxation behind the row
-    // bound, and a primed time-to-beat from the greedy probe pair so
-    // every worker prunes from the start.  All of it is fetched
-    // through one prep cache: the session's (or the caller's shared
-    // one) when caching is on; an uncached solve must not mutate the
-    // caller's shared cache or instantiate the session one, so it
-    // fetches through a throwaway.
+    // float-safety slack, and a primed time-to-beat from the greedy
+    // probe pair so every worker prunes from the start.  All of it is
+    // fetched through one prep cache: the session's (or the caller's
+    // shared one) when caching is on; an uncached solve must not
+    // mutate the caller's shared cache or instantiate the session one,
+    // so it fetches through a throwaway.
     search::Eval_cache* shared_cache = nullptr;
     search::Eval_cache_stats shared_before;
     if (options.use_cache) {
@@ -321,7 +296,7 @@ Solve_result solve_multi_asic_bb(Session& session,
     double all_sw = 0.0;
     double prime_time = std::numeric_limits<double>::infinity();
     Axis_block block;
-    Axis_relaxation relax1;
+    std::uint32_t n_block = 0;
     {
         std::optional<search::Eval_cache> prep_local;
         search::Eval_cache& prep =
@@ -337,7 +312,6 @@ Solve_result solve_multi_asic_bb(Session& session,
             points[axis[0][static_cast<std::size_t>(i)]].row = 0;
         for (std::size_t j = 0; j < reachable; ++j)
             points[axis[1][j]].row = 0;
-        std::uint32_t n_block = 0;
         for (auto& point : points)
             if (point.row != k_unread)
                 point.row = n_block++;
@@ -399,12 +373,6 @@ Solve_result solve_multi_asic_bb(Session& session,
         if (options.use_cache)
             out.cache_stats = shared_cache->stats().minus(shared_before);
     }
-    // Relaxing over just the reachable asic1 points is a tighter,
-    // still admissible bound.
-    if (use_row_bound)
-        relax1 = relax_axis(
-            points, std::span<const std::uint32_t>(axis[1]).first(reachable),
-            block);
     const double slack = 1e-7 * std::max(1.0, std::abs(all_sw));
 
     const std::size_t n_threads = util::clamp_chunks(
@@ -418,6 +386,87 @@ Solve_result solve_multi_asic_bb(Session& session,
     // repeat solve pays no re-allocation — the multi-ASIC share of the
     // serve layer's cross-request reuse.
     session.workspaces().prepare(n_threads);
+
+    // The separable bound S_a(p) (single_asic_saving) of every point
+    // the walk reads on ASIC a: S_0 for the window's rows, S_1 for the
+    // reachable asic1 prefix.  At an even split S_1 = S_0, so each
+    // point costs one DP.  The DPs run in parallel chunks, each on its
+    // own workspace slot, without the token: an aborted sweep's -inf
+    // would read as a kill.  The token is polled once per point
+    // instead, and a trip abandons every row, as in the fill.
+    const bool even = budgets[0] == budgets[1];
+    std::array<std::vector<double>, 2> single;  // per block row
+    std::vector<double> s1;         // S_1 per reachable asic1 column
+    std::vector<double> s1_suffix;  // max of s1 over [j, reachable)
+    if (options.use_pruning) {
+        std::vector<std::pair<std::uint32_t, std::size_t>> items;
+        if (even) {
+            for (std::uint32_t p = 0; p < points.size(); ++p)
+                if (points[p].row != k_unread)
+                    items.emplace_back(p, 0);
+        }
+        else {
+            for (long long i = r_begin; i < r_end; ++i)
+                items.emplace_back(axis[0][static_cast<std::size_t>(i)], 0);
+            for (std::size_t j = 0; j < reachable; ++j)
+                items.emplace_back(axis[1][j], 1);
+        }
+        single[0].resize(n_block);
+        if (!even)
+            single[1].resize(n_block);
+        std::atomic<long long> bound_swept{0};
+        std::atomic<long long> bound_dense{0};
+        const auto bound_chunk = [&](std::size_t c, long long begin,
+                                     long long end) {
+            pace::Multi_pace_workspace& mws =
+                session.workspaces().slot(c).multi;
+            std::vector<pace::Multi_bsb_cost> mcosts;
+            long long swept = 0;
+            long long dense = 0;
+            for (long long t = begin; t < end; ++t) {
+                if (options.cancel != nullptr && options.cancel->stop())
+                    break;
+                const auto [p, a] = items[static_cast<std::size_t>(t)];
+                const Axis_point& point = points[p];
+                single[a][point.row] = single_asic_saving(
+                    block.costs_of(point.row), budgets[a] - point.area,
+                    ctx.area_quantum, mcosts, mws);
+                swept += mws.last_cells_swept();
+                dense += mws.last_cells_dense();
+            }
+            bound_swept.fetch_add(swept, std::memory_order_relaxed);
+            bound_dense.fetch_add(dense, std::memory_order_relaxed);
+        };
+        const auto n_items = static_cast<long long>(items.size());
+        if (n_threads == 1)
+            bound_chunk(0, 0, n_items);
+        else
+            util::parallel_chunks(session.pool(n_threads), n_items,
+                                  n_threads, bound_chunk, options.cancel);
+        out.multi.dp_states_swept = bound_swept.load();
+        out.multi.dp_cells_dense = bound_dense.load();
+        if (options.cancel != nullptr && options.cancel->tripped()) {
+            out.rows_abandoned = n_rows_work;
+            out.status = options.cancel->status();
+            out.seconds = timer.seconds();
+            return out;
+        }
+        const auto& single1 = single[even ? 0 : 1];
+        s1.resize(reachable);
+        for (std::size_t j = 0; j < reachable; ++j)
+            s1[j] = single1[points[axis[1][j]].row];
+        s1_suffix.assign(reachable + 1,
+                         -std::numeric_limits<double>::infinity());
+        for (std::size_t j = reachable; j-- > 0;)
+            s1_suffix[j] = std::max(s1[j], s1_suffix[j + 1]);
+    }
+    // At an even split (x, y) and (y, x) are one design on swapped
+    // labels: the swapped pair's DP value and partition time are
+    // bit-identical and its combined area is the same sum, so the
+    // exact tie goes to the lower index, i <= j.  The pruned walk
+    // scores only that half; row i starts at column i.
+    const bool mirror = options.use_pruning && even;
+
     std::vector<Pair_worker> workers(n_threads);
     // The next unclaimed a0 row, and the solve's time-to-beat: the
     // best full-partition time any worker has found so far.
@@ -463,54 +512,40 @@ Solve_result solve_multi_asic_bb(Session& session,
                 continue;
             }
             const auto& p0 = points[axis[0][static_cast<std::size_t>(i)]];
-            // The final row of a truncated prefix may be partial.
+            // The final row of a truncated prefix may be partial.  The
+            // mirror pairs (i, j < i) were scored in row j, a full row
+            // (only the last row of a prefix is partial): they count
+            // as pruned.
             const long long j_end = std::min(f1, walked - i * f1);
+            const long long j_begin = mirror ? std::min(i, j_end) : 0;
+            w.n_pruned += j_begin;
             const auto gain0 = block.gain_of(p0.row);
+            const double s0 = options.use_pruning ? single[0][p0.row] : 0.0;
             set_asic0_costs(block.costs_of(p0.row), mcosts);
             ++w.rows_visited;
 
-            const double local_row = local_threshold();
-            if (ext != nullptr)
-                ext_val = ext->get();
-            const double threshold_row = std::min(local_row, ext_val);
-            if (use_row_bound && std::isfinite(threshold_row)) {
-                // Level 1: budget-free O(n) gain bound over the row's
-                // exact asic0 costs and the axis-relaxed asic1 costs.
-                double bound_time =
-                    all_sw - pace::multi_max_gain(gain0, relax1.gain);
-                bool killed = bound_time > threshold_row + slack;
-                if (!killed) {
-                    // Level 2: the sparse value-only DP over the same
-                    // relaxed costs, budget0 exact for this row,
-                    // budget1 at the axis's smallest data-path debit,
-                    // areas rounded optimistically so quantization
-                    // differences can only widen the bound.
-                    set_asic1_costs(relax1.best_case, mcosts);
-                    pace::Multi_pace_options mo;
-                    mo.ctrl_area_budgets = {budgets[0] - p0.area,
-                                            budgets[1] - relax1.min_area};
-                    mo.area_quantum = ctx.area_quantum;
-                    mo.optimistic_rounding = true;
-                    mo.cancel = options.cancel;
-                    const double bound_saving =
-                        pace::multi_pace_best_saving(mcosts, mo, &mws);
-                    w.dp_states_swept += mws.last_cells_swept();
-                    w.dp_cells_dense += mws.last_cells_dense();
-                    bound_time = all_sw - bound_saving;
-                    killed = bound_time > threshold_row + slack;
-                }
-                if (killed) {
-                    w.n_pruned += j_end;
+            if (use_row_bound && j_begin < j_end) {
+                // O(1) row check: no column j >= j_begin saves more
+                // than the suffix maximum of S_1.
+                const double local_row = local_threshold();
+                if (ext != nullptr)
+                    ext_val = ext->get();
+                const double threshold_row = std::min(local_row, ext_val);
+                const double bound_time =
+                    all_sw -
+                    (s0 + s1_suffix[static_cast<std::size_t>(j_begin)]);
+                if (bound_time > threshold_row + slack) {
+                    w.n_pruned += j_end - j_begin;
                     // A kill the local threshold alone would not have
                     // made is credited to the remote bound.
                     if (!(bound_time > local_row + slack))
-                        w.n_pruned_remote += j_end;
+                        w.n_pruned_remote += j_end - j_begin;
                     ++w.rows_pruned;
                     continue;
                 }
             }
 
-            for (long long j = 0; j < j_end; ++j) {
+            for (long long j = j_begin; j < j_end; ++j) {
                 // Live-condition poll once per pair: a tripped token
                 // abandons this row and stops the worker, keeping the
                 // incumbent found so far.
@@ -527,15 +562,18 @@ Solve_result solve_multi_asic_bb(Session& session,
                 const double threshold = std::min(local_thr, ext_val);
 
                 if (options.use_pruning) {
-                    // Budget-free bound: no placement of this pair can
-                    // save more than multi_max_gain, whatever the
-                    // controller areas turn out to be.
-                    const double gain_time =
-                        all_sw -
-                        pace::multi_max_gain(gain0, block.gain_of(p1.row));
-                    if (gain_time > threshold + slack) {
+                    // The separable bound first, then the budget-free
+                    // one: no placement of this pair can save more
+                    // than S_0(i) + S_1(j), nor more than
+                    // multi_max_gain whatever the controller areas.
+                    double bound_time =
+                        all_sw - (s0 + s1[static_cast<std::size_t>(j)]);
+                    if (!(bound_time > threshold + slack))
+                        bound_time = all_sw - pace::multi_max_gain(
+                                                  gain0, block.gain_of(p1.row));
+                    if (bound_time > threshold + slack) {
                         ++w.n_pruned;
-                        if (!(gain_time > local_thr + slack))
+                        if (!(bound_time > local_thr + slack))
                             ++w.n_pruned_remote;
                         continue;
                     }
@@ -557,6 +595,13 @@ Solve_result solve_multi_asic_bb(Session& session,
                         pace::multi_pace_best_saving(mcosts, mo, &mws);
                     w.dp_states_swept += mws.last_cells_swept();
                     w.dp_cells_dense += mws.last_cells_dense();
+                    // -inf: the token tripped mid-sweep.  The pair was
+                    // not scored; the row is abandoned.
+                    if (saving == -std::numeric_limits<double>::infinity()) {
+                        ++w.rows_abandoned;
+                        w.stopped = true;
+                        break;
+                    }
                     const double screen_time = all_sw - saving;
                     if (screen_time > threshold + slack) {
                         ++w.n_evaluated;

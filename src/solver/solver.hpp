@@ -149,10 +149,11 @@ struct Multi_asic_extras {
     long long pair_limit = 1LL << 23;
 
     /// Branch-and-bound over the a0-major pair *tree*: before any
-    /// per-pair DP runs in a row, an admissible per-row bound (the
-    /// sparse value-only DP over the row's exact asic0 costs and a
-    /// best-case relaxation of every asic1 axis point, areas rounded
-    /// optimistically) may kill the whole row.  Off = the flat
+    /// per-pair DP runs in a row, an O(1) separable row check may kill
+    /// the whole row — the row's single-ASIC optimum S_0(i) plus the
+    /// largest S_1 over its columns (each the best saving one point
+    /// reaches alone on its ASIC, one optimistically rounded DP per
+    /// point per solve) cannot beat the time-to-beat.  Off = the
     /// per-pair walk (useful as a reference; results are identical).
     bool use_row_bound = true;
 };

@@ -25,6 +25,7 @@
 #include "core/analysis.hpp"
 #include "core/restrictions.hpp"
 #include "hw/target.hpp"
+#include "pace/multi_asic.hpp"
 #include "solver/solver.hpp"
 #include "util/cancel.hpp"
 
@@ -421,6 +422,48 @@ TEST(AnytimeSolve, multi_asic_row_accounting_under_dynamic_claims)
         EXPECT_GT(r.rows_abandoned, 0) << n_threads;
         EXPECT_GE(r.multi.rows_visited + r.rows_abandoned, n_rows)
             << n_threads;
+    }
+}
+
+// A DP-cell budget that runs out inside a screening sweep: the sweep
+// returns -inf, which is an abandoned pair, not a screen kill.  On one
+// thread, with no primed incumbent under a token, the walk screens
+// and fully partitions pair (0, 0) and then screens (0, 1); a budget
+// of exactly pair (0, 0)'s two sweeps trips on the first row of that
+// screen.  The aborted pair must not count as evaluated.
+TEST(AnytimeSolve, multi_asic_aborted_screen_is_not_a_scored_pair)
+{
+    const auto lib = small_library();
+    const auto bsbs = small_app();
+    const auto problem = small_problem(lib, bsbs);
+    lso::Session session(problem);
+
+    // Pair (0, 0) is the empty allocation on both ASICs.
+    const double half = problem.target.asic.total_area / 2.0;
+    const auto costs = lycos::pace::build_multi_cost_model(
+        bsbs, lib, problem.target, {}, {}, problem.ctrl_mode);
+    lycos::pace::Multi_pace_options mo;
+    mo.ctrl_area_budgets = {half, half};
+    mo.area_quantum = problem.area_quantum;
+    lycos::pace::Multi_pace_workspace ws;
+    lycos::pace::multi_pace_best_saving(costs, mo, &ws);
+    long long first_pair_cells = ws.last_cells_swept();
+    lycos::pace::multi_pace_partition(costs, mo, &ws);
+    first_pair_cells += ws.last_cells_swept();
+
+    for (const int n_threads : {1, 2, 4}) {
+        lso::Solve_options options;
+        options.n_threads = n_threads;
+        options.max_dp_cells = static_cast<std::uint64_t>(first_pair_cells);
+        const auto r = session.solve("multi_asic_bb", options);
+        EXPECT_EQ(r.status, lu::Solve_status::budget) << n_threads;
+        EXPECT_GE(r.rows_abandoned, 1) << n_threads;
+        EXPECT_LT(r.n_evaluated + r.n_pruned, r.space_size) << n_threads;
+        if (n_threads == 1) {
+            EXPECT_EQ(r.n_evaluated, 1);
+            EXPECT_EQ(r.n_pruned, 0);
+            EXPECT_TRUE(r.have_best);
+        }
     }
 }
 

@@ -7,14 +7,19 @@
 #include <limits>
 
 #include "apps/apps.hpp"
+#include "core/analysis.hpp"
 #include "core/multi_allocator.hpp"
+#include "core/restrictions.hpp"
 #include "hw/target.hpp"
+#include "pace/cost_model.hpp"
 #include "pace/multi_asic.hpp"
+#include "search/alloc_space.hpp"
 #include "util/rng.hpp"
 
 namespace lp = lycos::pace;
 namespace lc = lycos::core;
 namespace lh = lycos::hw;
+namespace lb = lycos::bsb;
 using lh::Op_kind;
 using lp::Placement;
 
@@ -552,4 +557,193 @@ TEST(TwoAsicAllocator, end_to_end_two_asic_speedup)
                                       budgets[1] - alloc.datapath_area[1]}});
     EXPECT_GT(r.speedup_pct, 0.0);
     EXPECT_GT(r.n_in_hw, 0);
+}
+
+// ------------------------------------- per-point bounds and mirror pairs
+//
+// The two-ASIC search (solver/multi_asic_bb) bounds a pair (p0, p1) by
+// S_0(p0) + S_1(p1), each the best saving of one point's costs alone
+// on its ASIC, and at an even split scores only one of (p0, p1) and
+// (p1, p0).  These tests pin both facts on the DP itself, over every
+// pair of straight's allocation space (area quantum 1/64 of the ASIC,
+// so the sweeps stay cheap) and over a tie-heavy synthetic app.
+
+namespace {
+
+/// Every allocation within `restrictions` whose data-path fits
+/// `budget`, in enumeration order, with its area and per-BSB costs.
+struct Axis {
+    std::vector<double> area;
+    std::vector<std::vector<lp::Bsb_cost>> costs;
+};
+
+Axis enumerate_axis(std::span<const lb::Bsb> bsbs, const lh::Hw_library& lib,
+                    const lh::Target& target, const lc::Rmap& restrictions,
+                    double budget)
+{
+    Axis axis;
+    const lycos::search::Alloc_space space(lib, restrictions);
+    space.for_each(budget, [&](const lc::Rmap& a) {
+        axis.area.push_back(a.area(lib));
+        axis.costs.push_back(lp::build_cost_model(
+            bsbs, lib, target, a, lp::Controller_mode::list_schedule));
+        return true;
+    });
+    return axis;
+}
+
+std::vector<lp::Multi_bsb_cost> combine(std::span<const lp::Bsb_cost> c0,
+                                        std::span<const lp::Bsb_cost> c1)
+{
+    std::vector<lp::Multi_bsb_cost> out(c0.size());
+    for (std::size_t k = 0; k < c0.size(); ++k) {
+        out[k].t_sw = c0[k].t_sw;
+        out[k].hw = {c0[k], c1[k]};
+    }
+    return out;
+}
+
+/// S(p): the optimistically rounded best saving of `c` on one ASIC
+/// with `ctrl_budget` of controller area, the other ASIC infeasible.
+double single_asic_saving(std::span<const lp::Bsb_cost> c, double ctrl_budget,
+                          double quantum)
+{
+    constexpr double inf = std::numeric_limits<double>::infinity();
+    lp::Bsb_cost infeasible;
+    infeasible.t_hw = inf;
+    infeasible.ctrl_area = inf;
+    std::vector<lp::Bsb_cost> none(c.size(), infeasible);
+    lp::Multi_pace_options mo;
+    mo.ctrl_area_budgets = {ctrl_budget, 0.0};
+    mo.area_quantum = quantum;
+    mo.optimistic_rounding = true;
+    return lp::multi_pace_best_saving(combine(c, none), mo);
+}
+
+struct Straight_space {
+    lh::Hw_library lib = lh::make_default_library();
+    lycos::apps::App app = lycos::apps::make_straight();
+    lh::Target target = lh::make_default_target(app.asic_area);
+    lc::Rmap restrictions = lc::compute_restrictions(
+        lc::analyze(app.bsbs, lib, target.gates), lib);
+    double quantum = app.asic_area / 64.0;
+};
+
+/// Every pair's DP on swapped labels: the same value and the same
+/// partition time, bit for bit.
+void expect_mirror_identical(std::span<const lb::Bsb> bsbs,
+                             const lh::Hw_library& lib,
+                             const lh::Target& target,
+                             const lc::Rmap& restrictions, double budget,
+                             double quantum)
+{
+    const auto axis =
+        enumerate_axis(bsbs, lib, target, restrictions, budget);
+    const std::size_t n = axis.area.size();
+    ASSERT_GT(n, 1u);
+    lp::Multi_pace_workspace ws;
+    long long checked = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+        for (std::size_t j = i + 1; j < n; ++j) {
+            lp::Multi_pace_options mo;
+            mo.area_quantum = quantum;
+            mo.ctrl_area_budgets = {budget - axis.area[i],
+                                    budget - axis.area[j]};
+            const auto ij = combine(axis.costs[i], axis.costs[j]);
+            const double v_ij = lp::multi_pace_best_saving(ij, mo, &ws);
+            const double t_ij =
+                lp::multi_pace_partition(ij, mo, &ws).time_hybrid_ns;
+            mo.ctrl_area_budgets = {budget - axis.area[j],
+                                    budget - axis.area[i]};
+            const auto ji = combine(axis.costs[j], axis.costs[i]);
+            const double v_ji = lp::multi_pace_best_saving(ji, mo, &ws);
+            const double t_ji =
+                lp::multi_pace_partition(ji, mo, &ws).time_hybrid_ns;
+            ASSERT_EQ(v_ij, v_ji) << "pair " << i << ", " << j;
+            ASSERT_EQ(t_ij, t_ji) << "pair " << i << ", " << j;
+            ++checked;
+        }
+    }
+    EXPECT_EQ(checked, static_cast<long long>(n * (n - 1) / 2));
+}
+
+}  // namespace
+
+TEST(SeparableBound, pair_saving_never_exceeds_the_per_point_optima)
+{
+    const Straight_space s;
+    for (const auto split : {std::array<double, 2>{0.5, 0.5},
+                             std::array<double, 2>{0.65, 0.35}}) {
+        const std::array<double, 2> budgets = {split[0] * s.app.asic_area,
+                                               split[1] * s.app.asic_area};
+        std::array<Axis, 2> axis;
+        std::array<std::vector<double>, 2> bound;
+        for (std::size_t a = 0; a < 2; ++a) {
+            axis[a] = enumerate_axis(s.app.bsbs, s.lib, s.target,
+                                     s.restrictions, budgets[a]);
+            for (std::size_t p = 0; p < axis[a].area.size(); ++p)
+                bound[a].push_back(single_asic_saving(
+                    axis[a].costs[p], budgets[a] - axis[a].area[p],
+                    s.quantum));
+        }
+        ASSERT_GT(axis[1].area.size(), 1u);
+        const double all_sw = lp::all_sw_time_ns(axis[0].costs[0]);
+        const double tol = 1e-12 * all_sw;
+
+        lp::Multi_pace_workspace ws;
+        long long tight = 0;
+        for (std::size_t i = 0; i < axis[0].area.size(); ++i) {
+            for (std::size_t j = 0; j < axis[1].area.size(); ++j) {
+                lp::Multi_pace_options mo;
+                mo.area_quantum = s.quantum;
+                mo.ctrl_area_budgets = {budgets[0] - axis[0].area[i],
+                                        budgets[1] - axis[1].area[j]};
+                const double saving = lp::multi_pace_best_saving(
+                    combine(axis[0].costs[i], axis[1].costs[j]), mo, &ws);
+                const double bound_ij = bound[0][i] + bound[1][j];
+                ASSERT_LE(saving, bound_ij + tol)
+                    << "split " << split[0] << ", pair " << i << ", " << j;
+                tight += saving >= bound_ij - tol ? 1 : 0;
+            }
+        }
+        // Not vacuous: some pairs reach their bound exactly (one
+        // ASIC idle, or two disjoint halves).
+        EXPECT_GT(tight, 0) << "split " << split[0];
+    }
+}
+
+TEST(MirrorPairs, straight_swapped_pairs_are_bit_identical)
+{
+    const Straight_space s;
+    expect_mirror_identical(s.app.bsbs, s.lib, s.target, s.restrictions,
+                            s.app.asic_area / 2.0, s.quantum);
+}
+
+TEST(MirrorPairs, tie_heavy_swapped_pairs_are_bit_identical)
+{
+    // The synthetic app of the solver's swapped-pair tie test: one
+    // multiply-bound and one add-bound hot block and four cold mixed
+    // ones, so the best design splits them across the two ASICs and
+    // many pairs tie.
+    lh::Hw_library lib;
+    lib.add({"adder", {Op_kind::add}, 100.0, 1});
+    lib.add({"multiplier", {Op_kind::mul}, 500.0, 2});
+    std::vector<lb::Bsb> bsbs(6);
+    for (int i = 0; i < 4; ++i) {
+        bsbs[0].graph.add_op(Op_kind::mul);
+        bsbs[1].graph.add_op(Op_kind::add);
+    }
+    bsbs[0].profile = 100.0;
+    bsbs[1].profile = 100.0;
+    for (std::size_t k = 2; k < bsbs.size(); ++k) {
+        bsbs[k].graph.add_op(Op_kind::add);
+        bsbs[k].graph.add_op(Op_kind::mul);
+        bsbs[k].profile = 1.0;
+    }
+    const auto target = lh::make_default_target(3000.0);
+    lc::Rmap restrictions;
+    restrictions.set(0, 4);
+    restrictions.set(1, 2);
+    expect_mirror_identical(bsbs, lib, target, restrictions,
+                            target.asic.total_area / 2.0, 1.0);
 }

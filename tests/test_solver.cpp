@@ -588,6 +588,46 @@ TEST(MultiAsicBb, swapped_pair_ties_resolve_to_the_one_thread_pair)
     }
 }
 
+// The mirror walk starts row i at its diagonal (i, i): a pair with
+// the same allocation on both ASICs has no mirror and must be walked.
+// Two identical hot blocks whose controllers fit one per ASIC make
+// that diagonal pair the unique best design.
+TEST(MultiAsicBb, diagonal_best_pair_survives_the_mirror_walk)
+{
+    const auto lib = small_library();
+    std::vector<lb::Bsb> bsbs(2);
+    for (auto& b : bsbs) {
+        for (int i = 0; i < 4; ++i)
+            b.graph.add_op(Op_kind::mul);
+        b.graph.add_op(Op_kind::add);
+        b.profile = 100.0;
+    }
+    lso::Problem p;
+    p.bsbs = bsbs;
+    p.lib = &lib;
+    p.target = lh::make_default_target(3000.0);
+    p.restrictions.set(0, 2);
+    p.restrictions.set(1, 2);
+    p.area_quantum = 1.0;
+
+    lso::Session session(p);
+    const auto reference = session.solve(
+        "multi_asic_bb", {.n_threads = 1, .use_pruning = false});
+    ASSERT_TRUE(reference.have_best);
+    ASSERT_EQ(reference.multi.datapaths[0], reference.multi.datapaths[1]);
+    ASSERT_EQ(reference.multi.partition.n_in_hw, 2);
+
+    for (int n_threads : {1, 2, 4}) {
+        const auto r =
+            session.solve("multi_asic_bb", {.n_threads = n_threads});
+        EXPECT_EQ(r.multi.datapaths, reference.multi.datapaths) << n_threads;
+        EXPECT_EQ(r.multi.partition.time_hybrid_ns,
+                  reference.multi.partition.time_hybrid_ns)
+            << n_threads;
+        EXPECT_EQ(r.n_evaluated + r.n_pruned, r.space_size) << n_threads;
+    }
+}
+
 // The per-a0-row bound must actually kill rows in its home regime — a
 // large primary ASIC plus a starved secondary, where a best-case-
 // asic1-only completion is weak and rows with unhelpful a0
@@ -798,6 +838,101 @@ TEST(MultiAsicBb, straight_partial_row_prefix_matches_flat_reference)
             }
         }
     }
+}
+
+// At the even split both ASICs share one axis, the pruned walk scores
+// only the j >= i half of the pair space, and the separable row bound
+// fires.  Every combination must return the one-thread unpruned flat
+// walk's pair and account for every pair (the mirror half in
+// n_pruned) — over the whole space, under a pair_limit whose last row
+// ends before or after its diagonal, and over two window leases.
+TEST(MultiAsicBb, straight_even_split_matches_flat_reference)
+{
+    const Straight straight;
+    lso::Session session(straight.problem({0.0, 0.0}));
+    const auto reference =
+        session.solve("multi_asic_bb", flat_reference_options());
+    ASSERT_TRUE(reference.have_best);
+    const long long f1 = reference.multi.axis_points[1];
+    ASSERT_EQ(reference.multi.axis_points[0], f1);
+    EXPECT_EQ(reference.n_evaluated, reference.space_size);
+
+    for (int n_threads : {1, 2, 4}) {
+        for (bool use_pruning : {false, true}) {
+            for (bool use_row_bound : {false, true}) {
+                // The row bound only runs under pruning.
+                if (!use_pruning && use_row_bound)
+                    continue;
+                lso::Solve_options o;
+                o.n_threads = n_threads;
+                o.use_pruning = use_pruning;
+                o.extras =
+                    lso::Multi_asic_extras{.use_row_bound = use_row_bound};
+                const auto r = session.solve("multi_asic_bb", o);
+                const std::string what =
+                    std::to_string(n_threads) + " threads, pruning " +
+                    std::to_string(use_pruning) + ", row bound " +
+                    std::to_string(use_row_bound);
+                expect_same_pair(r, reference, what);
+                EXPECT_EQ(r.n_evaluated + r.n_pruned, r.space_size) << what;
+                if (use_pruning && use_row_bound)
+                    EXPECT_GT(r.multi.rows_pruned, 0) << what;
+            }
+        }
+    }
+
+    // The last walked row is row 5: a limit ending at column 2 stops
+    // before its diagonal (the row walks no pair), one ending at
+    // column 9 after it.
+    ASSERT_GT(f1, 10);
+    for (const long long limit : {5 * f1 + 2, 5 * f1 + 9}) {
+        const auto prefix =
+            session.solve("multi_asic_bb", flat_reference_options(limit));
+        ASSERT_EQ(prefix.n_evaluated, limit);
+        for (int n_threads : {1, 2, 4}) {
+            lso::Solve_options o;
+            o.n_threads = n_threads;
+            o.extras = lso::Multi_asic_extras{.pair_limit = limit};
+            const auto r = session.solve("multi_asic_bb", o);
+            const std::string what = "limit " + std::to_string(limit) + ", " +
+                                     std::to_string(n_threads) + " threads";
+            expect_same_pair(r, prefix, what);
+            EXPECT_EQ(r.n_evaluated + r.n_pruned, limit) << what;
+        }
+    }
+
+    // Two leases: row i >= split walks its columns j >= i, and the
+    // mirror of each pair it skips lies in one of the two windows.
+    const long long split = f1 / 3;
+    std::array<lso::Solve_result, 2> leases;
+    const std::array<lycos::util::Chunk_range, 2> windows = {
+        lycos::util::Chunk_range{0, split},
+        lycos::util::Chunk_range{split, f1}};
+    long long accounted = 0;
+    for (std::size_t w = 0; w < 2; ++w) {
+        lso::Solve_options o;
+        o.n_threads = 2;
+        o.window = windows[w];
+        leases[w] = session.solve("multi_asic_bb", o);
+        accounted += leases[w].n_evaluated + leases[w].n_pruned;
+    }
+    EXPECT_EQ(accounted, reference.space_size);
+    // Fold in window order: a later window wins only when strictly
+    // better, as the lower pair index takes an exact tie.
+    const auto area_sum = [](const lso::Solve_result& r) {
+        return r.multi.datapath_area[0] + r.multi.datapath_area[1];
+    };
+    const lso::Solve_result* folded = nullptr;
+    for (const auto& lease : leases)
+        if (lease.have_best &&
+            (folded == nullptr ||
+             lse::better_tuple(lease.multi.partition.time_hybrid_ns,
+                               area_sum(lease),
+                               folded->multi.partition.time_hybrid_ns,
+                               area_sum(*folded))))
+            folded = &lease;
+    ASSERT_NE(folded, nullptr);
+    expect_same_pair(*folded, reference, "folded leases");
 }
 
 TEST(MultiAsicBb, uncached_solve_leaves_shared_cache_untouched)
