@@ -10,6 +10,7 @@
 // All greedy variants pay the same costs (ECA + missing resources) and
 // obey the same §4.3 restrictions; they only lack the urgency logic
 // and re-prioritization.
+#include <algorithm>
 #include <iostream>
 #include <numeric>
 

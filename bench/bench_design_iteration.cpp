@@ -52,14 +52,16 @@ int main()
 
     {
         auto run = benchx::run_flow(apps::make_man());
-        const auto best = benchx::find_best(run);
+        solver::Session session(benchx::search_problem(run));
+        const auto best =
+            session.rescore(session.solve().best.datapath);
         const auto iterated = reduce_const_gens_to_one(
             run.alloc.allocation, run.lib);
         const auto after =
             search::evaluate_allocation(benchx::context(run), iterated);
         table.add_row({"man", fixed(run.heuristic.speedup_pct(), 0) + "%",
                        fixed(after.speedup_pct(), 0) + "%",
-                       fixed(best.best.speedup_pct(), 0) + "%",
+                       fixed(best.speedup_pct(), 0) + "%",
                        "const_gen -> 1 (was " +
                            std::to_string(run.alloc.allocation(
                                *run.lib.find("const_gen"))) +
@@ -68,14 +70,16 @@ int main()
 
     {
         auto run = benchx::run_flow(apps::make_eigen());
-        const auto best = benchx::find_best(run);
+        solver::Session session(benchx::search_problem(run));
+        const auto best =
+            session.rescore(session.solve().best.datapath);
         const auto iterated =
             reduce_dividers_by_one(run.alloc.allocation, run.lib);
         const auto after =
             search::evaluate_allocation(benchx::context(run), iterated);
         table.add_row({"eigen", fixed(run.heuristic.speedup_pct(), 0) + "%",
                        fixed(after.speedup_pct(), 0) + "%",
-                       fixed(best.best.speedup_pct(), 0) + "%",
+                       fixed(best.speedup_pct(), 0) + "%",
                        "divider -1 (was " +
                            std::to_string(run.alloc.allocation(
                                *run.lib.find("divider"))) +

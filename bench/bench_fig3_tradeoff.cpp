@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "common.hpp"
+#include "search/alloc_space.hpp"
 #include "util/csv.hpp"
 #include "util/format.hpp"
 #include "util/table.hpp"

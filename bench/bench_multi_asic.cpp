@@ -10,11 +10,10 @@
 // whose controllers were the bottleneck.
 //
 // A second table compares the production Pareto-sparse two-ASIC DP
-// against both retained references — the reachable-frontier sweep and
-// the dense full scan — at identical quantization: per-partition
-// times, the sparse value-only screening time, stored state counts
-// vs. the dense grid, and traceback bytes.  The driver asserts that
-// all three implementations return the identical placement.
+// against the dense full-scan reference at identical quantization:
+// per-partition times, the sparse value-only screening time, stored
+// state counts vs. the dense grid, and traceback bytes.  The driver
+// asserts that both implementations return the identical placement.
 #include <array>
 #include <cstdlib>
 #include <iostream>
@@ -102,9 +101,8 @@ int main()
         "where controllers were the binding constraint.\n";
 
     // --- DP implementation comparison (identical quantization) -------
-    std::cout << "\ntwo-ASIC DP: dense vs frontier vs Pareto-sparse\n\n";
-    util::Table_printer dp_table({"Example", "dense ms", "frontier ms",
-                                  "sparse ms", "screen ms", "speedup",
+    std::cout << "\ntwo-ASIC DP: dense vs Pareto-sparse\n\n";
+    util::Table_printer dp_table({"Example", "dense ms", "sparse ms", "screen ms", "speedup",
                                   "states", "traceback", "match"});
     bool all_match = true;
     for (const auto& app : apps_run) {
@@ -119,14 +117,6 @@ int main()
             sparse = pace::multi_pace_partition(s.costs, s.options, &ws);
         const double sparse_ms = t_sparse.seconds() / iters * 1e3;
 
-        auto frontier =
-            pace::multi_pace_partition_frontier(s.costs, s.options, &ws);
-        util::Wall_timer t_frontier;
-        for (int i = 0; i < iters; ++i)
-            frontier = pace::multi_pace_partition_frontier(s.costs,
-                                                           s.options, &ws);
-        const double frontier_ms = t_frontier.seconds() / iters * 1e3;
-
         util::Wall_timer t_scr;
         double acc = 0.0;
         for (int i = 0; i < iters; ++i)
@@ -140,14 +130,11 @@ int main()
         const double dense_ms = t_dense.seconds() * 1e3;
 
         const bool match = sparse.placement == dense.placement &&
-                           sparse.time_hybrid_ns == dense.time_hybrid_ns &&
-                           frontier.placement == dense.placement &&
-                           frontier.time_hybrid_ns == dense.time_hybrid_ns;
+                           sparse.time_hybrid_ns == dense.time_hybrid_ns;
         all_match = all_match && match;
         dp_table.add_row({
             app.name,
             fixed(dense_ms, 2),
-            fixed(frontier_ms, 2),
             fixed(sparse_ms, 2),
             fixed(scr_ms, 2),
             fixed(dense_ms / std::max(1e-9, sparse_ms), 1) + "x",
@@ -159,13 +146,13 @@ int main()
         });
     }
     dp_table.print(std::cout);
-    std::cout << "\nall three share the unified auto quantum "
+    std::cout << "\nboth share the unified auto quantum "
                  "(budget/4096, grid bounded by\nmax_dp_cells); states = "
                  "Pareto-maximal DP states stored (% of the dense\ngrid "
                  "swept); screen = sparse value-only "
                  "multi_pace_best_saving.\n";
     if (!all_match) {
-        std::cerr << "error: sparse/frontier DP disagrees with the dense "
+        std::cerr << "error: sparse DP disagrees with the dense "
                      "reference\n";
         return 1;
     }

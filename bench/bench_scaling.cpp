@@ -180,7 +180,7 @@ void bm_pace_incremental_cold(benchmark::State& state)
 BENCHMARK(bm_pace_incremental_resume)->RangeMultiplier(2)->Range(4, 64);
 BENCHMARK(bm_pace_incremental_cold)->RangeMultiplier(2)->Range(4, 64);
 
-// --- two-ASIC DP: dense reference vs frontier/workspace -------------
+// --- two-ASIC DP: dense reference vs sparse/workspace ---------------
 std::vector<pace::Multi_bsb_cost> random_multi_costs(int n)
 {
     const auto c0 = random_costs(n);
@@ -207,17 +207,6 @@ void bm_multi_pace_dense(benchmark::State& state)
         benchmark::DoNotOptimize(r);
     }
 }
-void bm_multi_pace_frontier(benchmark::State& state)
-{
-    const auto costs = random_multi_costs(static_cast<int>(state.range(0)));
-    const pace::Multi_pace_options opts{.ctrl_area_budgets = {300.0, 300.0},
-                                        .area_quantum = 1.0};
-    pace::Multi_pace_workspace ws;
-    for (auto _ : state) {
-        auto r = pace::multi_pace_partition_frontier(costs, opts, &ws);
-        benchmark::DoNotOptimize(r);
-    }
-}
 void bm_multi_pace_sparse(benchmark::State& state)
 {
     const auto costs = random_multi_costs(static_cast<int>(state.range(0)));
@@ -241,7 +230,6 @@ void bm_multi_pace_screen(benchmark::State& state)
     }
 }
 BENCHMARK(bm_multi_pace_dense)->RangeMultiplier(2)->Range(4, 32);
-BENCHMARK(bm_multi_pace_frontier)->RangeMultiplier(2)->Range(4, 32);
 BENCHMARK(bm_multi_pace_sparse)->RangeMultiplier(2)->Range(4, 32);
 BENCHMARK(bm_multi_pace_screen)->RangeMultiplier(2)->Range(4, 32);
 

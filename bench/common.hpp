@@ -1,7 +1,8 @@
 // Shared pipeline harness for the bench binaries: compile app, run the
-// allocation algorithm, evaluate with PACE, and search for the best
-// allocation (exhaustively when the space is small, hill climbing
-// otherwise — mirroring the paper's footnote 1 treatment of eigen).
+// allocation algorithm, evaluate with PACE, and describe the search for
+// the best allocation as a solver::Problem (Session::solve picks
+// exhaustive search when the space is small, hill climbing otherwise —
+// mirroring the paper's footnote 1 treatment of eigen).
 #pragma once
 
 #include <string>
@@ -9,8 +10,6 @@
 #include "apps/apps.hpp"
 #include "core/allocator.hpp"
 #include "hw/target.hpp"
-#include "search/exhaustive.hpp"
-#include "serve/serve.hpp"
 #include "solver/solver.hpp"
 #include "util/timer.hpp"
 
@@ -64,35 +63,20 @@ inline Run run_flow(apps::App app)
     return r;
 }
 
-/// Best allocation by search — deprecated shim over the serving
-/// layer's synchronous one-shot path: the auto strategy pick
-/// (exhaustive when the space fits the budget of evaluations,
-/// otherwise iterated hill climbing with the fixed reproducible
-/// seed), then the fine re-score of the winner on the warm session
-/// cache, with the re-score's lookups folded into the returned
-/// cache_stats (`Request::rescore_fine`).  Bit-identical to the old
-/// hand-built Session flow — the server runs the same
-/// solve-then-rescore steps, it just owns the option plumbing.
-/// Prefer driving a serve::Server or a Session directly.
-inline search::Search_result find_best(const Run& r,
-                                       long long exhaustive_limit = 30000)
+/// The best-allocation search over `r`'s restriction space, at the
+/// coarse search quantum; Session::rescore re-evaluates its winner at
+/// the exact quantum.
+inline solver::Problem search_problem(const Run& r)
 {
-    serve::Server server({.n_workers = 0});
-    serve::Request request;
-    request.problem.bsbs = r.app.bsbs;
-    request.problem.lib = &r.lib;
-    request.problem.target = r.target;
-    request.problem.restrictions = r.restrictions;
-    request.problem.ctrl_mode = k_eval_mode;
-    request.problem.area_quantum =
+    solver::Problem problem;
+    problem.bsbs = r.app.bsbs;
+    problem.lib = &r.lib;
+    problem.target = r.target;
+    problem.restrictions = r.restrictions;
+    problem.ctrl_mode = k_eval_mode;
+    problem.area_quantum =
         r.target.asic.total_area / k_search_quantum_divisor;
-    request.exhaustive_limit = exhaustive_limit;
-    request.rescore_fine = true;
-
-    const auto response = server.solve(std::move(request));
-    if (response.status == serve::Request_status::failed)
-        throw std::invalid_argument("find_best: " + response.error);
-    return solver::to_search_result(response.result);
+    return problem;
 }
 
 /// Share of application operations mapped to hardware (the paper's

@@ -168,8 +168,8 @@ struct Wire_options {
     bool use_pruning = true;
     std::uint64_t cache_capacity = 0;
     // Multi_asic_extras (applied only when strategy=multi_asic_bb):
-    std::int64_t pair_limit = 1LL << 23;
-    bool use_row_bound = true;
+    std::int64_t pair_limit = solver::Multi_asic_extras{}.pair_limit;
+    bool use_row_bound = solver::Multi_asic_extras{}.use_row_bound;
 };
 
 struct Job_msg {

@@ -21,7 +21,7 @@ double hw_gain(double t_sw, const Bsb_cost& c)
     return t_sw - c.t_hw - c.comm;
 }
 
-/// Shared quantization of the two-ASIC DP (the frontier DP, the
+/// Shared quantization of the two-ASIC DP (the sparse DP, the
 /// screening pass and the dense reference must agree exactly).
 struct Multi_setup {
     double quantum = 0.0;
@@ -112,240 +112,6 @@ struct Dp_stats {
 };
 
 }  // namespace
-
-/// Friend of Multi_pace_workspace: the frontier sweep both public
-/// entry points share, templated on traceback maintenance exactly
-/// like the single-ASIC Pace_dp.
-///
-/// value[(a0*w1+a1)*3+p]: best saving vs. all-software over the BSBs
-/// processed so far using quantized area (a0, a1) on the two ASICs,
-/// with the previous BSB placed p (0 = SW, 1 = asic0, 2 = asic1).
-/// Only the reachable rectangle [0,hi0]x[0,hi1] is initialized and
-/// swept — row i can reach at most the previous frontier plus BSB i's
-/// quantized areas — which is what replaces the dense w0*w1 scan.
-/// With traceback, each row's cells live in a nibble-packed arena
-/// sized to that row's frontier (4-bit decision*3+parent codes, two
-/// cells per byte): stale nibbles from earlier calls are never read
-/// because every finite-value state's cell was written by the
-/// improving write that made it finite.
-struct Multi_dp {
-    template <bool With_trace>
-    static double sweep(std::span<const Multi_bsb_cost> costs,
-                        const Multi_setup& s, Multi_pace_workspace& ws,
-                        Dp_stats& stats, Best_state* best_state);
-};
-
-template <bool With_trace>
-double Multi_dp::sweep(std::span<const Multi_bsb_cost> costs,
-                       const Multi_setup& s, Multi_pace_workspace& ws,
-                       Dp_stats& stats, Best_state* best_state)
-{
-    const std::size_t n = costs.size();
-    const std::size_t w0 = s.w0, w1 = s.w1;
-    const auto& qarea = ws.qarea_;
-    const auto& possible = ws.possible_;
-    auto idx = [&](std::size_t a0, std::size_t a1, std::size_t p) {
-        return (a0 * w1 + a1) * 3 + p;
-    };
-
-    auto& value = ws.value_;
-    auto& next = ws.next_;
-    if (value.size() < w0 * w1 * 3)
-        value.resize(w0 * w1 * 3);
-    if (next.size() < w0 * w1 * 3)
-        next.resize(w0 * w1 * 3);
-
-    // Frontier extents after each row (rectangular hull of the
-    // reachable set) — they depend only on the quantized areas, so
-    // the traceback arena layout is computable up front.
-    if constexpr (With_trace) {
-        ws.row_hi0_.assign(n, 0);
-        ws.row_hi1_.assign(n, 0);
-        ws.row_off_.assign(n + 1, 0);
-        std::size_t off = 0;
-        long long h0 = 0, h1 = 0;
-        for (std::size_t i = 0; i < n; ++i) {
-            if (possible[i][0] != 0)
-                h0 = std::min(h0 + qarea[i][0], s.cap[0]);
-            if (possible[i][1] != 0)
-                h1 = std::min(h1 + qarea[i][1], s.cap[1]);
-            ws.row_hi0_[i] = static_cast<int>(h0);
-            ws.row_hi1_[i] = static_cast<int>(h1);
-            ws.row_off_[i] = off;
-            const std::size_t cells = (static_cast<std::size_t>(h0) + 1) *
-                                      (static_cast<std::size_t>(h1) + 1) * 3;
-            off += (cells + 1) / 2;
-        }
-        ws.row_off_[n] = off;
-        if (ws.trace_.size() < off)
-            ws.trace_.resize(off);
-    }
-
-    // 4-bit cell = decision * 3 + parent; two cells per byte.
-    auto put_cell = [&](std::size_t row, std::size_t stride1,
-                        std::size_t a0, std::size_t a1, std::size_t p,
-                        std::uint8_t code) {
-        const std::size_t cell = (a0 * stride1 + a1) * 3 + p;
-        std::uint8_t& b = ws.trace_[ws.row_off_[row] + (cell >> 1)];
-        b = (cell & 1) != 0
-                ? static_cast<std::uint8_t>((b & 0x0F) | (code << 4))
-                : static_cast<std::uint8_t>((b & 0xF0) | code);
-    };
-
-    value[idx(0, 0, 0)] = 0.0;
-    value[idx(0, 0, 1)] = -k_inf;
-    value[idx(0, 0, 2)] = -k_inf;
-    std::size_t hi0 = 0, hi1 = 0;
-
-    for (std::size_t i = 0; i < n; ++i) {
-        const std::array<std::size_t, 2> qa = {
-            static_cast<std::size_t>(qarea[i][0]),
-            static_cast<std::size_t>(qarea[i][1])};
-        const std::size_t nhi0 =
-            possible[i][0] != 0
-                ? std::min(hi0 + qa[0], static_cast<std::size_t>(s.cap[0]))
-                : hi0;
-        const std::size_t nhi1 =
-            possible[i][1] != 0
-                ? std::min(hi1 + qa[1], static_cast<std::size_t>(s.cap[1]))
-                : hi1;
-        const std::size_t stride1 = nhi1 + 1;  // traceback row stride
-
-        stats.cells_swept +=
-            static_cast<long long>((hi0 + 1) * (hi1 + 1) * 3);
-
-        // Fused row pass: every next-cell has exactly one source cell
-        // — (a0,a1,SW) from (a0,a1,*), (a0,a1,asic0) from
-        // (a0-qa0,a1,*), (a0,a1,asic1) from (a0,a1-qa1,*) — so the
-        // whole new frontier is written in a single sweep of pure
-        // stores (no -inf pre-fill, no read-modify-write of value
-        // cells).  The per-lane max takes the first maximum over
-        // p = 0,1,2, which reproduces the dense reference's
-        // improving-write order bit for bit, including the traceback
-        // parent; trace nibbles are only written for reachable
-        // (finite) states, exactly the cells the reference writes.
-        const std::array<double, 2> gain = {
-            possible[i][0] != 0 ? hw_gain(costs[i].t_sw, costs[i].hw[0])
-                                : 0.0,
-            possible[i][1] != 0 ? hw_gain(costs[i].t_sw, costs[i].hw[1])
-                                : 0.0};
-        const std::array<double, 2> gain_save = {
-            i > 0 ? gain[0] + costs[i].hw[0].save_prev : gain[0],
-            i > 0 ? gain[1] + costs[i].hw[1].save_prev : gain[1]};
-        // Source candidates per lane, indexed by the previous side p:
-        // the adjacency saving applies only when p matches the lane's
-        // ASIC.
-        const double g1[3] = {gain[0], gain_save[0], gain[0]};
-        const double g2[3] = {gain[1], gain[1], gain_save[1]};
-
-        auto max3 = [](const double* v, const double* add,
-                       double& out) -> std::size_t {
-            const double c0 = v[0] + add[0];
-            const double c1 = v[1] + add[1];
-            const double c2 = v[2] + add[2];
-            std::size_t p = 0;
-            double m = c0;
-            if (c1 > m) {
-                m = c1;
-                p = 1;
-            }
-            if (c2 > m) {
-                m = c2;
-                p = 2;
-            }
-            out = m;
-            return p;
-        };
-        auto max3v = [](const double* v, double& out) -> std::size_t {
-            std::size_t p = 0;
-            double m = v[0];
-            if (v[1] > m) {
-                m = v[1];
-                p = 1;
-            }
-            if (v[2] > m) {
-                m = v[2];
-                p = 2;
-            }
-            out = m;
-            return p;
-        };
-
-        for (std::size_t a0 = 0; a0 <= nhi0; ++a0) {
-            const bool row_in = a0 <= hi0;
-            const double* src0 =
-                row_in ? &value[idx(a0, 0, 0)] : nullptr;
-            const double* src1 =
-                possible[i][0] != 0 && a0 >= qa[0]
-                    ? &value[idx(a0 - qa[0], 0, 0)]
-                    : nullptr;
-            double* dst = &next[idx(a0, 0, 0)];
-            for (std::size_t a1 = 0; a1 <= nhi1; ++a1) {
-                const bool col_in = a1 <= hi1;
-                double m;
-                // Lane 0: BSB i in software.
-                if (row_in && col_in) {
-                    const std::size_t p = max3v(src0 + a1 * 3, m);
-                    dst[a1 * 3] = m;
-                    if constexpr (With_trace) {
-                        if (m != -k_inf)
-                            put_cell(i, stride1, a0, a1, 0,
-                                     static_cast<std::uint8_t>(p));
-                    }
-                }
-                else {
-                    dst[a1 * 3] = -k_inf;
-                }
-                // Lane 1: BSB i on ASIC 0.
-                if (src1 != nullptr && col_in) {
-                    const std::size_t p = max3(src1 + a1 * 3, g1, m);
-                    dst[a1 * 3 + 1] = m;
-                    if constexpr (With_trace) {
-                        if (m != -k_inf)
-                            put_cell(i, stride1, a0, a1, 1,
-                                     static_cast<std::uint8_t>(3 + p));
-                    }
-                }
-                else {
-                    dst[a1 * 3 + 1] = -k_inf;
-                }
-                // Lane 2: BSB i on ASIC 1.
-                if (row_in && possible[i][1] != 0 && a1 >= qa[1] &&
-                    a1 - qa[1] <= hi1) {
-                    const std::size_t p =
-                        max3(src0 + (a1 - qa[1]) * 3, g2, m);
-                    dst[a1 * 3 + 2] = m;
-                    if constexpr (With_trace) {
-                        if (m != -k_inf)
-                            put_cell(i, stride1, a0, a1, 2,
-                                     static_cast<std::uint8_t>(6 + p));
-                    }
-                }
-                else {
-                    dst[a1 * 3 + 2] = -k_inf;
-                }
-            }
-        }
-        value.swap(next);
-        hi0 = nhi0;
-        hi1 = nhi1;
-    }
-
-    double best = -k_inf;
-    for (std::size_t a0 = 0; a0 <= hi0; ++a0)
-        for (std::size_t a1 = 0; a1 <= hi1; ++a1)
-            for (std::size_t p = 0; p < 3; ++p)
-                if (value[idx(a0, a1, p)] > best) {
-                    best = value[idx(a0, a1, p)];
-                    if (best_state != nullptr)
-                        *best_state = {a0, a1, p};
-                }
-    return best;
-}
-
-// ---------------------------------------------------------------------
-// Pareto-sparse sweep
-// ---------------------------------------------------------------------
 
 void Blocked_prefix_max::begin(std::size_t nb)
 {
@@ -438,7 +204,7 @@ std::uint64_t state_key(std::size_t a0, std::size_t a1)
 
 /// Friend of Multi_pace_workspace: the Pareto-sparse sweep both
 /// sparse entry points share, templated on traceback maintenance like
-/// the frontier Multi_dp.
+/// the single-ASIC Pace_dp.
 ///
 /// Row i maps the current antichains (one per previous-placement
 /// lane) to the next row's: each destination lane 3-way-merges the
@@ -780,27 +546,6 @@ double multi_pace_best_saving(std::span<const Multi_bsb_cost> costs,
     return best;
 }
 
-double multi_pace_best_saving_frontier(std::span<const Multi_bsb_cost> costs,
-                                       const Multi_pace_options& options,
-                                       Multi_pace_workspace* workspace)
-{
-    // Built only when the caller passes no workspace.
-    std::optional<Multi_pace_workspace> local;
-    Multi_pace_workspace& ws =
-        workspace != nullptr ? *workspace : local.emplace();
-    const Multi_setup s =
-        prepare_multi(costs, options, ws.qarea_, ws.possible_);
-    if (costs.empty())
-        return 0.0;
-    Dp_stats stats;
-    const double best = Multi_dp::sweep<false>(costs, s, ws, stats, nullptr);
-    ws.last_cells_swept_ = stats.cells_swept;
-    ws.last_cells_dense_ = static_cast<long long>(costs.size()) *
-                           static_cast<long long>(s.w0) *
-                           static_cast<long long>(s.w1) * 3;
-    return best;
-}
-
 Multi_pace_result multi_pace_partition(std::span<const Multi_bsb_cost> costs,
                                        const Multi_pace_options& options,
                                        Multi_pace_workspace* workspace)
@@ -879,68 +624,6 @@ Multi_pace_result multi_pace_partition(std::span<const Multi_bsb_cost> costs,
     // nibble cells — honest total for the sparse encoding.
     r.traceback_bytes = ws.tb_key_.size() * sizeof(std::uint64_t) +
                         ws.tb_cell_.size();
-    r.traceback_bytes_dense =
-        static_cast<std::size_t>(n) * s.w0 * s.w1 * 3 * 2;
-    ws.last_cells_swept_ = stats.cells_swept;
-    ws.last_cells_dense_ = r.dp_cells_dense;
-    return r;
-}
-
-Multi_pace_result multi_pace_partition_frontier(
-    std::span<const Multi_bsb_cost> costs, const Multi_pace_options& options,
-    Multi_pace_workspace* workspace)
-{
-    // Built only when the caller passes no workspace.
-    std::optional<Multi_pace_workspace> local;
-    Multi_pace_workspace& ws =
-        workspace != nullptr ? *workspace : local.emplace();
-    const Multi_setup s =
-        prepare_multi(costs, options, ws.qarea_, ws.possible_);
-    const std::size_t n = costs.size();
-    if (n == 0)
-        return Multi_pace_result{};
-
-    Dp_stats stats;
-    Best_state bs;
-    Multi_dp::sweep<true>(costs, s, ws, stats, &bs);
-
-    // Walk the nibble cells backwards from the best final state; a
-    // state reachable after row i always lies within that row's
-    // recorded frontier, which fixes the row's cell stride.
-    std::vector<Placement> placement(n, Placement::software);
-    std::size_t a0 = bs.a0, a1 = bs.a1, p = bs.p;
-    for (std::size_t ri = n; ri-- > 0;) {
-        const std::size_t stride1 =
-            static_cast<std::size_t>(ws.row_hi1_[ri]) + 1;
-        const std::size_t cell = (a0 * stride1 + a1) * 3 + p;
-        const std::uint8_t byte = ws.trace_[ws.row_off_[ri] + (cell >> 1)];
-        const std::uint8_t code =
-            (cell & 1) != 0 ? static_cast<std::uint8_t>(byte >> 4)
-                            : static_cast<std::uint8_t>(byte & 0x0F);
-        const std::size_t d = code / 3;
-        const std::size_t parent = code % 3;
-        if (d == 0) {
-            placement[ri] = Placement::software;
-        }
-        else {
-            const std::size_t a = d - 1;
-            placement[ri] = a == 0 ? Placement::asic0 : Placement::asic1;
-            const std::size_t q = static_cast<std::size_t>(ws.qarea_[ri][a]);
-            if (a == 0)
-                a0 -= q;
-            else
-                a1 -= q;
-        }
-        p = parent;
-    }
-
-    Multi_pace_result r = evaluate_multi_partition(costs, placement);
-    r.area_quantum_used = s.quantum;
-    r.dp_cells_swept = stats.cells_swept;
-    r.dp_cells_dense = static_cast<long long>(n) *
-                       static_cast<long long>(s.w0) *
-                       static_cast<long long>(s.w1) * 3;
-    r.traceback_bytes = ws.row_off_[n];
     r.traceback_bytes_dense =
         static_cast<std::size_t>(n) * s.w0 * s.w1 * 3 * 2;
     ws.last_cells_swept_ = stats.cells_swept;

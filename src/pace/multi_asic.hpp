@@ -11,9 +11,8 @@
 // across chips).
 //
 // The production DP (multi_pace_partition) is now *Pareto-sparse*: a
-// row's DP states are not a dense (a0, a1) grid (nor the reachable
-// rectangle the frontier sweep scans — 60-80% of the grid on big
-// apps) but the set of dominance-maximal states only.  A state
+// row's DP states are not a dense (a0, a1) grid but the set of
+// dominance-maximal states only.  A state
 // survives a row exactly when no other state of the same
 // previous-placement lane uses no more area on both ASICs and
 // achieves at least its saving; everything else is provably useless
@@ -23,14 +22,11 @@
 // its traceback placement bit for bit — see the proof sketch on
 // Multi_dp_sparse in multi_asic.cpp.
 //
-// Three implementations coexist, fastest first:
+// Two implementations coexist:
 //   multi_pace_partition            sparse states (production)
-//   multi_pace_partition_frontier   reachable-rectangle fused sweep
-//                                   (the pre-sparse production path,
-//                                   kept as a second reference)
-//   multi_pace_partition_reference  dense full-grid scan (original)
-// All three share prepare_multi's quantization, so results are
-// comparable bit for bit; tests and the bench pin the equivalence.
+//   multi_pace_partition_reference  dense full-grid scan (the oracle)
+// Both share prepare_multi's quantization, so results are comparable
+// bit for bit; tests and the bench pin the equivalence.
 // multi_pace_best_saving is the sparse value-only screening entry;
 // Multi_pace_options::optimistic_rounding flips the area rounding
 // down so the DP value upper-bounds every ceil-rounded evaluation —
@@ -102,7 +98,7 @@ struct Multi_pace_options {
     /// the deadline clock — these rows are the heaviest stripes in the
     /// stack) once per BSB row.  An aborted value sweep returns -inf;
     /// an aborted multi_pace_partition returns the honest all-software
-    /// placement.  The frontier and dense reference paths ignore it.
+    /// placement.  The dense reference path ignores it.
     const util::Cancel_token* cancel = nullptr;
 };
 
@@ -124,13 +120,13 @@ struct Multi_pace_result {
     long long dp_cells_swept = 0;  ///< source (a0,a1,p) cells/states visited
     long long dp_cells_dense = 0;  ///< n * w0 * w1 * 3 — the dense scan's sweep
     /// Sparse path only: states stored across all rows (the traceback
-    /// arena's entry count); 0 from the frontier/dense sweeps.
+    /// arena's entry count); 0 from the dense sweep.
     long long dp_states_stored = 0;
     std::size_t traceback_bytes = 0;  ///< compact traceback allocated
     std::size_t traceback_bytes_dense = 0;  ///< pre-overhaul dense encoding
 
     /// Fraction of the dense grid the sweep actually visited (sparse
-    /// states or frontier cells over dense cells).
+    /// states over dense cells).
     double frontier_occupancy() const
     {
         return dp_cells_dense > 0
@@ -322,22 +318,19 @@ void multi_gain_terms(std::span<const Bsb_cost> costs,
 double multi_max_gain(std::span<const double> g0,
                       std::span<const double> g1);
 
-/// Caller-owned reusable buffers for the two-ASIC DP (sparse and
-/// frontier paths).  Grow-only; one workspace per thread, never
-/// shared across concurrent calls.
+/// Caller-owned reusable buffers for the sparse two-ASIC DP.
+/// Grow-only; one workspace per thread, never shared across
+/// concurrent calls.
 class Multi_pace_workspace {
 public:
     Multi_pace_workspace() = default;
 
-    /// Back the big DP buffers (frontier value/next rows, traceback
-    /// arenas, merge scratch) with a caller-owned per-worker Arena:
-    /// first-touched — and kept — on the worker that sweeps them.
-    /// The arena must outlive the workspace.
+    /// Back the big DP buffers (traceback arenas, merge scratch) with
+    /// a caller-owned per-worker Arena: first-touched — and kept — on
+    /// the worker that sweeps them.  The arena must outlive the
+    /// workspace.
     explicit Multi_pace_workspace(util::Arena* arena)
-        : value_(util::Arena_allocator<double>(arena)),
-          next_(util::Arena_allocator<double>(arena)),
-          trace_(util::Arena_allocator<std::uint8_t>(arena)),
-          tb_key_(util::Arena_allocator<std::uint64_t>(arena)),
+        : tb_key_(util::Arena_allocator<std::uint64_t>(arena)),
           tb_cell_(util::Arena_allocator<std::uint8_t>(arena)),
           mkey_{util::Arena_vector<std::uint64_t>(
                     util::Arena_allocator<std::uint64_t>(arena)),
@@ -355,39 +348,21 @@ public:
     }
 
     /// Observability of the most recent sweep through this workspace
-    /// (sparse source states / frontier source cells, and the dense
-    /// grid a full scan would have swept) — the multi-ASIC search
+    /// (sparse source states, and the dense grid a full scan would
+    /// have swept) — the multi-ASIC search
     /// aggregates these across its screening calls, which return only
     /// a double.
     long long last_cells_swept() const { return last_cells_swept_; }
     long long last_cells_dense() const { return last_cells_dense_; }
 
 private:
-    friend struct Multi_dp;         ///< frontier sweep (multi_asic.cpp)
-    friend struct Multi_dp_sparse;  ///< Pareto-sparse sweep
+    friend struct Multi_dp_sparse;  ///< Pareto-sparse sweep (multi_asic.cpp)
     friend Multi_pace_result multi_pace_partition(
-        std::span<const Multi_bsb_cost> costs,
-        const Multi_pace_options& options, Multi_pace_workspace* workspace);
-    friend Multi_pace_result multi_pace_partition_frontier(
         std::span<const Multi_bsb_cost> costs,
         const Multi_pace_options& options, Multi_pace_workspace* workspace);
     friend double multi_pace_best_saving(
         std::span<const Multi_bsb_cost> costs,
         const Multi_pace_options& options, Multi_pace_workspace* workspace);
-    friend double multi_pace_best_saving_frontier(
-        std::span<const Multi_bsb_cost> costs,
-        const Multi_pace_options& options, Multi_pace_workspace* workspace);
-    // --- frontier sweep buffers -------------------------------------
-    util::Arena_vector<double> value_;
-    util::Arena_vector<double> next_;
-    /// Nibble-packed traceback arena: row i occupies bytes
-    /// [row_off_[i], row_off_[i+1]) holding (hi0_i+1)*(hi1_i+1)*3
-    /// 4-bit cells (decision * 3 + parent), where (hi0_i, hi1_i) is
-    /// the frontier *after* row i.
-    util::Arena_vector<std::uint8_t> trace_;
-    std::vector<std::size_t> row_off_;
-    std::vector<int> row_hi0_;
-    std::vector<int> row_hi1_;
     // --- shared quantization scratch --------------------------------
     std::vector<std::array<int, 2>> qarea_;
     std::vector<std::array<std::uint8_t, 2>> possible_;
@@ -413,25 +388,10 @@ private:
     long long last_cells_dense_ = 0;
 };
 
-/// The pre-sparse production DP: reachable-(a0,a1)-rectangle fused
-/// sweep with the per-row nibble traceback — kept (like the dense
-/// reference below) as an equivalence baseline and for the
-/// dense-vs-frontier-vs-sparse bench.  Bit-identical results to
-/// multi_pace_partition.
-Multi_pace_result multi_pace_partition_frontier(
-    std::span<const Multi_bsb_cost> costs, const Multi_pace_options& options,
-    Multi_pace_workspace* workspace = nullptr);
-
-/// Value-only screening over the frontier sweep (the pre-sparse
-/// production screen), kept for the bench comparison.
-double multi_pace_best_saving_frontier(
-    std::span<const Multi_bsb_cost> costs, const Multi_pace_options& options,
-    Multi_pace_workspace* workspace = nullptr);
-
 /// The pre-overhaul dense DP (full w0 x w1 x 3 scan per row, two
 /// bytes of traceback per cell), retained — like list_schedule_naive —
-/// as the reference the workspace/frontier implementation is pinned
-/// against by tests and the old-vs-new bench.  Shares the
+/// as the oracle the sparse implementation is pinned against by
+/// tests and the old-vs-new bench.  Shares the
 /// quantization (including the auto default and the max_dp_cells
 /// guard) with multi_pace_partition, so results are comparable
 /// bit for bit.

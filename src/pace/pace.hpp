@@ -131,7 +131,7 @@ Pace_result pace_partition(std::span<const Bsb_cost> costs,
 /// width, cleared checkpoint) restarts from row 0 — correctness never
 /// depends on the caller's call pattern.  Results are bit-identical
 /// to a cold run in all cases; rows_reused()/rows_swept() make the
-/// reuse observable (Search_result reports them per search).
+/// reuse observable (Solve_result reports them per search).
 class Pace_workspace {
 public:
     Pace_workspace() = default;

@@ -17,9 +17,8 @@
 // A cache is not thread-safe; the parallel searches create one per
 // worker thread.  Two kinds of state are involved:
 //   * the *memo* (projection -> cost) is mutable and stays private to
-//     its worker.  A caller-owned cache passed through the options'
-//     `shared_cache` is therefore used by worker 0 only — handing it
-//     to every worker would race; the other workers build private
+//     its worker.  The solver::Session's cache is therefore used by
+//     worker 0 only — handing it to every worker would race; the other workers build private
 //     caches and their contributions are aggregated into the reported
 //     cache stats.  This is deliberate, not an oversight: sharing the
 //     memo across threads would need locking on the hottest path of
@@ -91,7 +90,7 @@ private:
     std::vector<pace::Bsb_cost> invariants_;
 };
 
-/// Observability counters (wired into Search_result).
+/// Observability counters (wired into solver::Solve_result).
 struct Eval_cache_stats {
     long long hits = 0;    ///< per-BSB lookups served from the cache
     long long misses = 0;  ///< per-BSB lookups that had to schedule

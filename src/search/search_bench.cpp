@@ -20,9 +20,8 @@
 #include "dist/dist.hpp"
 #include "hw/target.hpp"
 #include "pace/multi_asic.hpp"
+#include "search/alloc_space.hpp"
 #include "search/eval_cache.hpp"
-#include "search/exhaustive.hpp"
-#include "search/hill_climb.hpp"
 #include "serve/serve.hpp"
 #include "serve/trace.hpp"
 #include "solver/solver.hpp"
@@ -41,12 +40,21 @@ double rate(long long n, double seconds)
     return seconds > 0.0 ? static_cast<double>(n) / seconds : 0.0;
 }
 
-bool same_best(const Search_result& a, const Search_result& b)
+bool same_best(const solver::Solve_result& a, const solver::Solve_result& b)
 {
     return a.best.datapath == b.best.datapath &&
            a.best.partition.time_hybrid_ns ==
                b.best.partition.time_hybrid_ns &&
            a.best.datapath_area == b.best.datapath_area;
+}
+
+/// One exhaustive_bb solve on a fresh Session, so no run starts from
+/// another's warm cache or DP checkpoints.
+solver::Solve_result cold_exhaustive(const solver::Problem& problem,
+                                     const solver::Solve_options& options)
+{
+    solver::Session session(problem);
+    return session.solve("exhaustive_bb", options);
 }
 
 }  // namespace
@@ -98,29 +106,38 @@ Search_bench_result run_search_bench(const Search_bench_config& config)
     for (const auto& [r, bound] : raw.entries())
         restrictions.set(r, std::min(bound, config.max_count_per_type));
 
-    Eval_context ctx{bsbs, lib, target,
-                     pace::Controller_mode::list_schedule,
-                     config.asic_area / 256.0};
+    solver::Problem problem;
+    problem.bsbs = bsbs;
+    problem.lib = &lib;
+    problem.target = target;
+    problem.restrictions = restrictions;
+    problem.ctrl_mode = pace::Controller_mode::list_schedule;
+    problem.area_quantum = config.asic_area / 256.0;
+    // Asymmetric two-ASIC target for multi_asic_bb (ignored by the
+    // single-ASIC strategies): a big primary chip plus a small
+    // secondary, so the two axes differ and the row bound reads
+    // separate per-ASIC optima (an even split walks one shared axis
+    // and skips the mirror pairs).
+    problem.asic_areas = {config.asic_area * 0.65, config.asic_area * 0.35};
+    const Eval_context ctx{bsbs, lib, target, problem.ctrl_mode,
+                           problem.area_quantum};
 
     Search_bench_result out;
 
-    Eval_context old_ctx = ctx;
-    old_ctx.scheduler = sched::Scheduler_kind::naive;
-    const auto old_run = exhaustive_engine(
-        old_ctx, restrictions,
+    solver::Problem old_problem = problem;
+    old_problem.scheduler = sched::Scheduler_kind::naive;
+    const auto old_run = cold_exhaustive(
+        old_problem,
         {.n_threads = 1, .use_cache = false, .use_pruning = false});
 
-    const auto new_single = exhaustive_engine(
-        ctx, restrictions,
-        {.n_threads = 1, .use_cache = true, .use_pruning = false});
+    const auto new_single = cold_exhaustive(
+        problem, {.n_threads = 1, .use_cache = true, .use_pruning = false});
 
-    const auto new_pruned = exhaustive_engine(
-        ctx, restrictions,
-        {.n_threads = 1, .use_cache = true, .use_pruning = true});
+    const auto new_pruned = cold_exhaustive(
+        problem, {.n_threads = 1, .use_cache = true, .use_pruning = true});
 
-    const auto new_parallel = exhaustive_engine(
-        ctx, restrictions,
-        {.n_threads = 0, .use_cache = true, .use_pruning = true});
+    const auto new_parallel = cold_exhaustive(
+        problem, {.n_threads = 0, .use_cache = true, .use_pruning = true});
 
     // Instrumented pass: where does one full sweep spend its time —
     // fetching memoized per-BSB costs (scheduling) or running the
@@ -144,10 +161,10 @@ Search_bench_result run_search_bench(const Search_bench_config& config)
     }
 
     // Two-ASIC DP: split the scenario's silicon across two chips and
-    // compare the Pareto-sparse production DP against both retained
-    // references (reachable-frontier sweep, dense full scan) —
-    // identical results, counted cells/states, and traceback bytes
-    // land in the multi_asic section of BENCH_search.json.
+    // compare the Pareto-sparse production DP against the dense
+    // full-scan reference — identical results, counted cells/states,
+    // and traceback bytes land in the multi_asic section of
+    // BENCH_search.json.
     {
         const std::array<double, 2> budgets = {config.asic_area / 2.0,
                                                config.asic_area / 2.0};
@@ -180,13 +197,6 @@ Search_bench_result run_search_bench(const Search_bench_config& config)
             sparse = pace::multi_pace_partition(mcosts, mopts, &mws);
         });
 
-        auto frontier =
-            pace::multi_pace_partition_frontier(mcosts, mopts, &mws);
-        out.multi_secs_frontier = min_of(40, [&] {
-            frontier =
-                pace::multi_pace_partition_frontier(mcosts, mopts, &mws);
-        });
-
         pace::Multi_pace_result dense;
         out.multi_secs_dense = min_of(5, [&] {
             dense = pace::multi_pace_partition_reference(mcosts, mopts);
@@ -197,45 +207,22 @@ Search_bench_result run_search_bench(const Search_bench_config& config)
         };
         out.multi_n_bsbs = static_cast<long long>(mcosts.size());
         out.multi_speedup = speedup_of(out.multi_secs_sparse);
-        out.multi_speedup_frontier = speedup_of(out.multi_secs_frontier);
         out.multi_evals_per_sec =
             out.multi_secs_sparse > 0.0 ? 1.0 / out.multi_secs_sparse : 0.0;
-        out.multi_frontier_occupancy = frontier.frontier_occupancy();
         out.multi_sparse_occupancy = sparse.frontier_occupancy();
         out.multi_sparse_states = sparse.dp_states_stored;
         out.multi_area_quantum = sparse.area_quantum_used;
         out.multi_traceback_bytes = sparse.traceback_bytes;
-        out.multi_traceback_bytes_frontier = frontier.traceback_bytes;
         out.multi_traceback_bytes_dense = dense.traceback_bytes;
-        out.multi_matches_dense =
-            frontier.placement == dense.placement &&
-            frontier.time_hybrid_ns == dense.time_hybrid_ns;
         out.multi_sparse_matches_dense =
             sparse.placement == dense.placement &&
-            sparse.time_hybrid_ns == dense.time_hybrid_ns &&
-            sparse.placement == frontier.placement;
+            sparse.time_hybrid_ns == dense.time_hybrid_ns;
     }
 
     // Solver section: the unified Session API over the same scenario.
     // One session serves all three strategies (shared invariants,
-    // shared worker-0 cache, one thread pool); the deprecated shims
-    // must reproduce the session results bit for bit — that is the
-    // cross-check CI gates on.
+    // shared worker-0 cache, one thread pool).
     {
-        solver::Problem problem;
-        problem.bsbs = bsbs;
-        problem.lib = &lib;
-        problem.target = target;
-        problem.restrictions = restrictions;
-        problem.ctrl_mode = pace::Controller_mode::list_schedule;
-        problem.area_quantum = config.asic_area / 256.0;
-        // Asymmetric two-ASIC target for multi_asic_bb (ignored by
-        // the single-ASIC strategies): a big primary chip plus a
-        // small secondary, so the two axes differ and the row bound
-        // reads separate per-ASIC optima (an even split walks one
-        // shared axis and skips the mirror pairs).
-        problem.asic_areas = {config.asic_area * 0.65,
-                              config.asic_area * 0.35};
         solver::Session session(problem);
 
         const auto exh = session.solve("exhaustive_bb", {});
@@ -249,28 +236,6 @@ Search_bench_result run_search_bench(const Search_bench_config& config)
         out.solver_hill_seconds = hill.seconds;
         out.solver_hill_evaluated = hill.n_evaluated;
         out.solver_hill_evals_per_sec = rate(hill.n_evaluated, hill.seconds);
-
-        // Shim cross-check: the deprecated free functions delegate to
-        // a one-shot Session and must land on the identical tuples.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-        const auto shim_exh = exhaustive_search(ctx, restrictions, {});
-        const solver::Hill_climb_extras hx;
-        util::Rng shim_rng(hx.seed);
-        const auto shim_hill = hill_climb_search(
-            ctx, restrictions,
-            {.n_restarts = hx.n_restarts, .max_steps = hx.max_steps},
-            shim_rng);
-#pragma GCC diagnostic pop
-        const auto same_tuple = [](const search::Evaluation& a,
-                                   const search::Evaluation& b) {
-            return a.datapath == b.datapath &&
-                   a.partition.time_hybrid_ns ==
-                       b.partition.time_hybrid_ns &&
-                   a.datapath_area == b.datapath_area;
-        };
-        out.solver_matches_shims = same_tuple(shim_exh.best, exh.best) &&
-                                   same_tuple(shim_hill.best, hill.best);
 
         // multi_asic_bb: the pair-tree branch-and-bound — even
         // silicon split, parallel run, plus the determinism
@@ -311,15 +276,16 @@ Search_bench_result run_search_bench(const Search_bench_config& config)
         // turn, so a slow stretch of the host lands on both) until
         // each side has run for at least 100 ms, and the gate compares
         // the per-sweep medians.  It keeps a small absolute floor for
-        // timer noise.
+        // timer noise.  Every sweep runs on a fresh Session, so both
+        // sides schedule every projection cold and no sweep resumes
+        // from an earlier one's DP checkpoints.
         const util::Cancel_token far_deadline(3.6e6, 0, 0, {});
         const auto sweep_seconds = [&](const util::Cancel_token* token) {
-            Exhaustive_options eo;
-            eo.n_threads = 1;
-            eo.use_cache = true;
-            eo.use_pruning = false;
-            eo.cancel = token;
-            return exhaustive_engine(ctx, restrictions, eo).seconds;
+            return cold_exhaustive(problem, {.n_threads = 1,
+                                             .use_cache = true,
+                                             .use_pruning = false,
+                                             .cancel = token})
+                .seconds;
         };
         constexpr double k_poll_side_secs = 0.1;
         std::vector<double> no_token;
@@ -790,22 +756,15 @@ std::string to_json(const Search_bench_config& config,
         << "},\n"
         << "  \"multi_asic\": {\"n_bsbs\": " << result.multi_n_bsbs
         << ", \"secs_dense\": " << result.multi_secs_dense
-        << ", \"secs_frontier\": " << result.multi_secs_frontier
         << ", \"secs_sparse\": " << result.multi_secs_sparse
         << ", \"speedup\": " << result.multi_speedup
-        << ", \"speedup_frontier\": " << result.multi_speedup_frontier
         << ", \"evals_per_sec\": " << result.multi_evals_per_sec
-        << ", \"frontier_occupancy\": " << result.multi_frontier_occupancy
         << ", \"sparse_occupancy\": " << result.multi_sparse_occupancy
         << ", \"sparse_states\": " << result.multi_sparse_states
         << ", \"area_quantum\": " << result.multi_area_quantum
         << ", \"traceback_bytes\": " << result.multi_traceback_bytes
-        << ", \"traceback_bytes_frontier\": "
-        << result.multi_traceback_bytes_frontier
         << ", \"traceback_bytes_dense\": "
         << result.multi_traceback_bytes_dense
-        << ", \"matches_dense\": "
-        << (result.multi_matches_dense ? "true" : "false")
         << ", \"sparse_matches_dense\": "
         << (result.multi_sparse_matches_dense ? "true" : "false") << "},\n"
         << "  \"new_parallel\": {\"seconds\": " << result.secs_new_parallel
@@ -838,9 +797,7 @@ std::string to_json(const Search_bench_config& config,
         << ", \"dp_states_swept\": " << result.solver_multi_dp_states
         << ", \"dp_cells_dense\": " << result.solver_multi_dp_dense
         << ", \"deterministic\": "
-        << (result.solver_multi_deterministic ? "true" : "false") << "},\n"
-        << "    \"shims_match_session\": "
-        << (result.solver_matches_shims ? "true" : "false") << "\n"
+        << (result.solver_multi_deterministic ? "true" : "false") << "}\n"
         << "  },\n"
         << "  \"deadline\": {\"secs_no_token\": "
         << result.deadline_secs_no_token
@@ -957,17 +914,11 @@ void print_summary(std::ostream& out, const Search_bench_result& result)
         << "  multi-ASIC DP (sparse):       "
         << util::fixed(result.multi_secs_sparse * 1e3, 2)
         << " ms/partition (" << util::fixed(result.multi_speedup, 1)
-        << "x dense, "
-        << util::fixed(result.multi_secs_frontier * 1e3, 2)
-        << " ms frontier; states "
+        << "x dense; states "
         << util::fixed(100.0 * result.multi_sparse_occupancy, 1)
-        << "% of grid vs frontier "
-        << util::fixed(100.0 * result.multi_frontier_occupancy, 1)
-        << "%; traceback " << result.multi_traceback_bytes_dense << " -> "
-        << result.multi_traceback_bytes << " B; "
-        << (result.multi_matches_dense && result.multi_sparse_matches_dense
-                ? "match"
-                : "MISMATCH")
+        << "% of grid; traceback " << result.multi_traceback_bytes_dense
+        << " -> " << result.multi_traceback_bytes << " B; "
+        << (result.multi_sparse_matches_dense ? "match" : "MISMATCH")
         << ")\n"
         << "  solver exhaustive_bb:         "
         << util::fixed(result.solver_exh_evals_per_sec, 1)
@@ -992,8 +943,6 @@ void print_summary(std::ostream& out, const Search_bench_result& result)
         << result.solver_multi_pairs_skipped << " pairs skipped; sparse DP "
         << result.solver_multi_dp_states << " states vs "
         << result.solver_multi_dp_dense << " dense cells\n"
-        << "  shims vs session:             "
-        << (result.solver_matches_shims ? "match" : "MISMATCH") << "\n"
         << "  kernel dispatch (" << result.kernels_isa << "):       "
         << (result.kernels_simd_available
                 ? util::fixed(result.kern_pace_speedup, 2) + "x pace sweep, " +
@@ -1079,15 +1028,9 @@ int write_bench_report(const std::string& path, std::ostream& log,
         if (!result.pruned_matches_unpruned)
             err << "error: pruned (incremental) search disagrees with the "
                    "cold unpruned search on the best allocation\n";
-        if (!result.multi_matches_dense)
-            err << "error: two-ASIC frontier DP disagrees with the dense "
-                   "reference\n";
         if (!result.multi_sparse_matches_dense)
-            err << "error: two-ASIC sparse DP disagrees with the "
-                   "dense/frontier references\n";
-        if (!result.solver_matches_shims)
-            err << "error: deprecated shims disagree with the "
-                   "solver::Session API on the best allocation\n";
+            err << "error: two-ASIC sparse DP disagrees with the dense "
+                   "reference\n";
         if (!result.solver_multi_deterministic)
             err << "error: multi_asic_bb best pair depends on the "
                    "chunking\n";
@@ -1134,9 +1077,7 @@ int write_bench_report(const std::string& path, std::ostream& log,
             err << "error: the distributed solve disagrees with the "
                    "local Session solve at some worker count\n";
         return result.same_best && result.pruned_matches_unpruned &&
-                       result.multi_matches_dense &&
                        result.multi_sparse_matches_dense &&
-                       result.solver_matches_shims &&
                        result.solver_multi_deterministic &&
                        result.solver_multi_rows_pruned > 0 &&
                        result.solver_multi_dp_states <

@@ -109,38 +109,30 @@ struct Search_bench_result {
     long long dp_rows_reused = 0;
     long long dp_rows_swept = 0;
 
-    /// Two-ASIC DP: the Pareto-sparse production path against both
-    /// retained references (reachable-frontier sweep, dense full
-    /// scan) on a two-ASIC split of the same scenario.
+    /// Two-ASIC DP: the Pareto-sparse production path against the
+    /// dense full-scan reference on a two-ASIC split of the same
+    /// scenario.
     long long multi_n_bsbs = 0;
     double multi_secs_dense = 0.0;     ///< per dense partition call
-    double multi_secs_frontier = 0.0;  ///< per frontier partition call
     double multi_secs_sparse = 0.0;    ///< per sparse partition call
     double multi_speedup = 0.0;        ///< dense / sparse
-    double multi_speedup_frontier = 0.0;  ///< dense / frontier
     double multi_evals_per_sec = 0.0;  ///< sparse partitions per second
-    double multi_frontier_occupancy = 0.0;  ///< frontier cells / dense cells
     double multi_sparse_occupancy = 0.0;    ///< sparse states / dense cells
     long long multi_sparse_states = 0;      ///< states stored (traceback)
     double multi_area_quantum = 0.0;
     std::size_t multi_traceback_bytes = 0;  ///< sparse encoding
-    std::size_t multi_traceback_bytes_frontier = 0;
     std::size_t multi_traceback_bytes_dense = 0;
-    bool multi_matches_dense = false;  ///< frontier == dense (placement+time)
-    /// Sparse == dense == frontier on placement and time — the
+    /// Sparse == dense on placement and time — the
     /// sparse_matches_dense gate CI fails on.
     bool multi_sparse_matches_dense = false;
 
     /// Solver section: the same scenario driven through the
-    /// solver::Session API, one entry per registered strategy, plus
-    /// the shim-vs-session cross-check CI gates on (the deprecated
-    /// free functions must produce bit-identical best tuples).
+    /// solver::Session API, one entry per registered strategy.
     double solver_exh_seconds = 0.0;
     double solver_exh_evals_per_sec = 0.0;  ///< effective (unpruned workload)
     double solver_hill_seconds = 0.0;
     long long solver_hill_evaluated = 0;    ///< screened candidates scored
     double solver_hill_evals_per_sec = 0.0;
-    bool solver_matches_shims = false;      ///< both shims, any thread count
 
     /// multi_asic_bb: the pair-tree branch-and-bound — pair space,
     /// scored/pruned pairs, row-bound kills, throughput, and the
@@ -275,9 +267,8 @@ void print_summary(std::ostream& out, const Search_bench_result& result);
 /// summary to `log`, write the JSON report to `path`.  Returns the
 /// process exit code (0 only if the report was written, all variants
 /// agreed on the best allocation, the pruned search matched the
-/// unpruned one, the sparse two-ASIC DP matched both references
-/// (`sparse_matches_dense`), the deprecated shims matched the Session
-/// API, the pair-tree walk was chunking-independent
+/// unpruned one, the sparse two-ASIC DP matched the dense reference
+/// (`sparse_matches_dense`), the pair-tree walk was chunking-independent
 /// (`pair_tree_bb.deterministic`), its row bound killed at least one
 /// row, the sparse DPs swept fewer cells than the dense grids they
 /// replaced, an armed-but-idle Cancel_token cost the new_single

@@ -1,13 +1,12 @@
 // Session-persistent per-worker DP scratch.
 //
-// The engines historically built their Pace_workspace /
-// Multi_pace_workspace per chunk, on the task's stack — so every DP
-// checkpoint (pace.hpp) died with the solve that wrote it, and a
-// follow-up solve of the same problem re-swept rows the incremental
-// machinery already knew.  A Dp_workspace_pool moves those per-worker
-// workspaces into the owning solver::Session: chunk c of every solve
-// runs on slot c, the checkpoints survive *between* solves, and a
-// later solve resumes at the first divergent cost row exactly as
+// Per-chunk workspaces built on a task's stack would die with the
+// solve that wrote their DP checkpoints (pace.hpp), and a follow-up
+// solve of the same problem would re-sweep rows the incremental
+// machinery already knew.  A Dp_workspace_pool keeps the per-worker
+// workspaces in the owning solver::Session instead: chunk c of every
+// solve runs on slot c, the checkpoints survive *between* solves, and
+// a later solve resumes at the first divergent cost row exactly as
 // within-solve reuse does — the (quantum, width) fingerprint plus the
 // cost-prefix compare already guarantee resumed and cold sweeps are
 // bit-identical, whoever wrote the checkpoint.  This is what makes

@@ -125,8 +125,8 @@ struct Request {
 
     /// Re-score the winning datapath at the exact quantum on the warm
     /// session cache and fold the lookups into the returned stats —
-    /// the coarse-search/fine-rescore flow of the retired find_best
-    /// shim.  Single-ASIC rungs only.
+    /// the coarse-search/fine-rescore flow of Session::rescore.
+    /// Single-ASIC rungs only.
     bool rescore_fine = false;
 
     /// Chaos-campaign fault plan (tests only; default unarmed).
@@ -172,7 +172,7 @@ struct Response {
 struct Server_options {
     /// Worker threads draining the queue.  0 = no threads: submit()
     /// executes the request inline and returns a ready future (the
-    /// one-shot mode the retired find_best shim runs in).
+    /// synchronous one-shot mode).
     int n_workers = 1;
     std::size_t queue_capacity = 64;
 

@@ -1,5 +1,61 @@
-#include "search/exhaustive.hpp"
-
+// exhaustive_bb — the §5 search for "the best allocation", run as a
+// deterministic branch-and-bound over the whole allocation space.
+//
+// The search is chunk-parallel: the mixed-radix index range
+// [0, Alloc_space::size()) is split into one contiguous chunk per
+// worker thread, each worker walks its chunk as a mixed-radix *tree*
+// (digits assigned most-significant first, so subtrees are contiguous
+// index ranges) with its own Eval_cache and session workspace slot,
+// and the per-chunk bests are reduced in chunk order.  Worker 0
+// searches on the session cache, so incumbent priming warms the very
+// cache the first chunk then reads, and a later Session::rescore runs
+// on warm entries.  Three admissible prunes skip work without ever
+// changing the best tuple:
+//   * area-monotone subtrees: a digit prefix whose data-path area
+//     already exceeds the ASIC kills the whole subtree (digits only
+//     add area) — those points would have been enumerated but never
+//     evaluated anyway,
+//   * gain-bounded subtrees: an allocation-independent lower bound on
+//     the hybrid time (ASAP-length hardware times, coverage of the
+//     subtree's maximal completion) proves no completion can beat the
+//     worker's incumbent,
+//   * per-point DP savings: cached leaves run the value-only
+//     screening DP (pace_best_saving) and only pay the traceback
+//     reconstruction when the screened time can still beat the
+//     incumbent (screened points count as n_evaluated — they were
+//     scored); on the uncached path, pace::max_gain bounds the
+//     achievable saving and candidates that cannot beat the incumbent
+//     skip the PACE DP entirely (counted in n_pruned).
+// The interior gain bound is additionally conditioned on the digit
+// prefix already assigned: per op kind, the instance capacity any
+// completion can still reach (assigned digits exactly, open dims at
+// their bound) yields a work/capacity floor on every BSB's schedule
+// length, tightening the coverage bound as digits shrink below their
+// bounds.  DP leaf evaluations run *incrementally*: each worker's
+// Pace_workspace checkpoints the DP rows of its last evaluation, the
+// leaves arrive in tree order (long shared cost prefixes), and the
+// table width is pinned to the total ASIC area
+// (Eval_context::dp_table_budget) so rows stay valid across leaves
+// with different leftover budgets — the sweep restarts at the first
+// BSB whose cost actually changed (Solve_result::dp_rows_reused).
+// The workspaces are the session's Dp_workspace_pool slots, so the
+// checkpoints also survive into the next solve of the session
+// (Solve_result::dp_rows_reused_cross_request).
+//
+// Anytime and distributed solves: a cancel token is polled at subtree
+// and leaf boundaries, and its presence disables incumbent priming —
+// pruning against a probe time that is never itself enumerated could
+// leave a truncated run without the best point of its explored
+// prefix.  Solve_options::window restricts the walk to a leaf-index
+// range; folding the per-window bests of any partition of the space
+// in window order reproduces the full-space best tuple.  An external
+// incumbent bound is sampled at chunk entry and at the strided leaf
+// polls and folded into the prune threshold.
+//
+// Because every prune removes only provably-worse points and the
+// reduction applies the same strict better_than the sequential loop
+// used (keep the incumbent on ties), the best tuple is bit-identical
+// to the unpruned single-threaded search for any thread count.
 #include <algorithm>
 #include <cmath>
 #include <limits>
@@ -12,13 +68,21 @@
 #include "estimate/sw_time.hpp"
 #include "pace/cost_model.hpp"
 #include "sched/time_frames.hpp"
+#include "search/alloc_space.hpp"
 #include "search/workspace_pool.hpp"
+#include "solver/internal.hpp"
 #include "util/thread_pool.hpp"
 #include "util/timer.hpp"
 
-namespace lycos::search {
+namespace lycos::solver::detail {
 
 namespace {
+
+using search::Alloc_space;
+using search::Eval_cache;
+using search::Eval_cache_stats;
+using search::Eval_context;
+using search::Evaluation;
 
 /// What one worker accumulates over its chunk of the index range.
 struct Chunk_result {
@@ -312,15 +376,13 @@ public:
            const Prune_model& model, bool use_pruning, double max_area,
            double prime_time, long long begin, long long end,
            Eval_cache* cache, const util::Shared_bound* ext,
-           Chunk_result& out, pace::Pace_workspace* persistent_ws = nullptr)
+           Chunk_result& out, pace::Pace_workspace& ws)
         : ctx_(ctx), dims_(dims), model_(model), use_pruning_(use_pruning),
           max_area_(max_area), prime_time_(prime_time), begin_(begin),
           end_(end), cache_(cache), cancel_(ctx.cancel), ext_(ext),
           out_(out), digits_(dims.size(), 0),
-          dense_counts_(ctx.lib.size(), 0)
+          dense_counts_(ctx.lib.size(), 0), ws_(&ws)
     {
-        if (persistent_ws != nullptr)
-            ws_ = persistent_ws;
         bounding_ = use_pruning_ && model_.enabled;
         det_enabled_ = bounding_ && cache_ != nullptr;
         if (bounding_) {
@@ -361,10 +423,8 @@ public:
 
     void run()
     {
-        // A persistent workspace carries counters (and checkpoints)
-        // from earlier solves — report this run's deltas only.  The
-        // private member workspace starts at zero, so the deltas are
-        // the full counters there, exactly as before.
+        // The session workspace carries counters (and checkpoints)
+        // from earlier solves — report this run's deltas only.
         const long long reused0 = ws_->rows_reused();
         const long long swept0 = ws_->rows_swept();
         const long long foreign0 = ws_->rows_reused_foreign();
@@ -862,11 +922,11 @@ private:
         // With det_enabled_ every BSB's exact cost was assembled on
         // the way down (and the exact bound already checked when the
         // last digit was assigned) — run the DP straight on it.
-        const Evaluation ev = evaluate_with_costs(
+        const Evaluation ev = search::evaluate_with_costs(
             ctx_, a, det_enabled_ ? cur_cost_ : costs_, ws_);
         ++out_.n_evaluated;
         charge_eval();
-        if (!out_.have_best || better_than(ev, out_.best)) {
+        if (!out_.have_best || search::better_than(ev, out_.best)) {
             out_.best = ev;
             out_.have_best = true;
         }
@@ -919,16 +979,9 @@ private:
     std::vector<double> cur_red_;
     double exact_sum_ = 0.0;
     std::vector<std::pair<double, double>> lp_items_;  ///< (red, area)
-    /// Per-worker DP arena: the Walker is constructed inside the
-    /// worker task, so the workspace's rows are first-touched — and
-    /// stay — on the core that sweeps this chunk.  Declared before the
-    /// workspace it backs (destruction order).
-    util::Arena pace_arena_;
-    pace::Pace_workspace pace_ws_{&pace_arena_};
-    /// The workspace this chunk actually sweeps with: the private
-    /// member above, or a session-persistent Dp_workspace_pool slot
-    /// whose checkpoint survives into the next solve.
-    pace::Pace_workspace* ws_ = &pace_ws_;
+    /// This chunk's session Dp_workspace_pool slot, whose checkpoint
+    /// survives into the next solve.
+    pace::Pace_workspace* ws_;
 };
 
 /// Evaluate a few promising fitting points before the walk so every
@@ -998,14 +1051,16 @@ double prime_incumbent(const Eval_context& ctx,
 
 }  // namespace
 
-Search_result exhaustive_engine(const Eval_context& ctx,
-                                const core::Rmap& restrictions,
-                                const Exhaustive_options& options)
+Solve_result solve_exhaustive_bb(Session& session,
+                                 const Solve_options& options)
 {
+    extras_or_default<std::monostate>(options, "exhaustive_bb");
     util::Wall_timer timer;
-    const Alloc_space space(ctx.lib, restrictions);
+    const Eval_context& ctx = session.context();
+    const Alloc_space space(ctx.lib, session.problem().restrictions);
 
-    Search_result result;
+    Solve_result result;
+    result.strategy = "exhaustive_bb";
     result.space_size = space.size();
 
     const long long n = space.size();
@@ -1019,7 +1074,7 @@ Search_result exhaustive_engine(const Eval_context& ctx,
     const long long w_end = options.window.whole() ? n : options.window.end;
     if (w_begin < 0 || w_begin > w_end || w_end > n)
         throw std::invalid_argument(
-            "exhaustive_engine: window [" + std::to_string(w_begin) + ", " +
+            "exhaustive_bb: window [" + std::to_string(w_begin) + ", " +
             std::to_string(w_end) + ") outside the space [0, " +
             std::to_string(n) + ")");
     const long long n_work = w_end - w_begin;
@@ -1064,44 +1119,36 @@ Search_result exhaustive_engine(const Eval_context& ctx,
         run_ctx.dp_table_budget = max_area;
     run_ctx.cancel = options.cancel;
 
-    // Worker 0's cache is either the caller's shared cache or one
-    // built up front — so the incumbent-priming probes below warm the
-    // very cache the first chunk then searches with.
-    std::optional<Eval_cache> primed_cache;
-    Eval_cache* chunk0_cache = options.shared_cache;
-    // For an external shared cache, snapshot before priming so the
-    // probes' lookups are reported exactly like a private cache's.
+    // Worker 0 searches on the session cache, which the priming probes
+    // below warm first.  Snapshot it so the solve reports only its own
+    // lookups, probes included.
+    Eval_cache* chunk0_cache =
+        options.use_cache ? &session.cache(options.cache_capacity) : nullptr;
     Eval_cache_stats shared_before;
     if (chunk0_cache != nullptr)
         shared_before = chunk0_cache->stats();
-    if (options.use_cache && chunk0_cache == nullptr) {
-        primed_cache.emplace(ctx, options.cache_capacity,
-                             options.invariants);
-        chunk0_cache = &*primed_cache;
-    }
+    const auto& invariants = session.invariants();
 
     Prune_model model;
     double prime_time = std::numeric_limits<double>::infinity();
     if (use_pruning) {
-        model = build_prune_model(
-            ctx, dims, options.use_cache ? chunk0_cache : nullptr);
+        model = build_prune_model(ctx, dims, chunk0_cache);
         // Priming only without a cancel token: the probe time belongs
         // to a point the truncated prefix may never reach, so pruning
         // against it could leave an anytime run without the best point
         // of what it actually explored.  (Untripped armed runs lose
         // nothing but speed — the bound prunes are all incumbent-led.)
         if (options.cancel == nullptr)
-            prime_time = prime_incumbent(run_ctx, dims, max_area,
-                                         options.use_cache ? chunk0_cache
-                                                           : nullptr);
+            prime_time =
+                prime_incumbent(run_ctx, dims, max_area, chunk0_cache);
     }
 
-    // Session-persistent workspaces: grow the pool to one slot per
-    // chunk and open a new pass (surviving checkpoints become
-    // "foreign", i.e. cross-request) before any worker touches a slot
-    // — slot creation is not thread-safe.
-    if (options.dp_pool != nullptr)
-        options.dp_pool->prepare(n_threads);
+    // Grow the session workspace pool to one slot per chunk and open a
+    // new pass (surviving checkpoints become "foreign", i.e.
+    // cross-request) before any worker touches a slot — slot creation
+    // is not thread-safe.
+    search::Dp_workspace_pool& dp_pool = session.workspaces();
+    dp_pool.prepare(n_threads);
 
     std::vector<Chunk_result> chunks(n_threads);
     const auto run_chunk = [&](std::size_t c, long long begin, long long end) {
@@ -1113,14 +1160,11 @@ Search_result exhaustive_engine(const Eval_context& ctx,
                 cache = chunk0_cache;
             }
             else {
-                own_cache.emplace(ctx, options.cache_capacity,
-                                  options.invariants);
+                own_cache.emplace(ctx, options.cache_capacity, invariants);
                 cache = &*own_cache;
             }
         }
-        pace::Pace_workspace* slot_ws =
-            options.dp_pool != nullptr ? &options.dp_pool->slot(c).pace
-                                       : nullptr;
+        pace::Pace_workspace& ws = dp_pool.slot(c).pace;
         if (span_overflow) {
             // Saturated spaces cannot be walked as a tree (index
             // arithmetic would overflow); fall back to the linear loop.
@@ -1128,30 +1172,21 @@ Search_result exhaustive_engine(const Eval_context& ctx,
             // injected cut has no per-leaf index here and is not
             // applied (the fallback is unreachable below saturated
             // space sizes, which the fault-injection tests never are).
-            std::optional<util::Arena> arena;
-            std::optional<pace::Pace_workspace> own_ws;
-            pace::Pace_workspace* ws = slot_ws;
-            if (ws == nullptr) {
-                // per-worker: this lambda IS the task body
-                arena.emplace();
-                own_ws.emplace(&*arena);
-                ws = &*own_ws;
-            }
-            const long long reused0 = ws->rows_reused();
-            const long long swept0 = ws->rows_swept();
-            const long long foreign0 = ws->rows_reused_foreign();
+            const long long reused0 = ws.rows_reused();
+            const long long swept0 = ws.rows_swept();
+            const long long foreign0 = ws.rows_reused_foreign();
             const auto* cancel = options.cancel;
             std::uint64_t polls = 0;
             space.for_each_range(begin, end, max_area,
                                  [&](const core::Rmap& a) {
                                      const Evaluation ev =
-                                         evaluate_allocation(run_ctx, a,
-                                                             cache, ws);
+                                         search::evaluate_allocation(
+                                             run_ctx, a, cache, &ws);
                                      ++out.n_evaluated;
                                      if (cancel != nullptr)
                                          cancel->charge_evals(1);
                                      if (!out.have_best ||
-                                         better_than(ev, out.best)) {
+                                         search::better_than(ev, out.best)) {
                                          out.best = ev;
                                          out.have_best = true;
                                      }
@@ -1163,18 +1198,18 @@ Search_result exhaustive_engine(const Eval_context& ctx,
                                      }
                                      return true;
                                  });
-            out.dp_rows_reused += ws->rows_reused() - reused0;
-            out.dp_rows_swept += ws->rows_swept() - swept0;
-            out.dp_rows_foreign += ws->rows_reused_foreign() - foreign0;
+            out.dp_rows_reused += ws.rows_reused() - reused0;
+            out.dp_rows_swept += ws.rows_swept() - swept0;
+            out.dp_rows_foreign += ws.rows_reused_foreign() - foreign0;
         }
         else {
             Walker walker(run_ctx, dims, model, use_pruning, max_area,
                           prime_time, begin, end, cache,
-                          options.incumbent_bound, out, slot_ws);
+                          options.incumbent_bound, out, ws);
             walker.run();
         }
         if (cache != nullptr) {
-            out.stats = cache == options.shared_cache
+            out.stats = cache == chunk0_cache
                             ? cache->stats().minus(shared_before)
                             : cache->stats();
         }
@@ -1182,28 +1217,22 @@ Search_result exhaustive_engine(const Eval_context& ctx,
 
     // The chunk split runs over the window's units; the walkers want
     // absolute leaf indices, so shift each chunk by the window base.
-    const auto run_chunk_abs = [&](std::size_t c, long long begin,
-                                   long long end) {
-        run_chunk(c, w_begin + begin, w_begin + end);
-    };
     std::size_t chunks_skipped = 0;
     if (n_threads == 1) {
         run_chunk(0, w_begin, w_end);
     }
-    else if (options.pool != nullptr) {
-        chunks_skipped = util::parallel_chunks(
-            *options.pool, n_work, n_threads, run_chunk_abs, options.cancel);
-    }
     else {
-        util::Thread_pool pool(n_threads);
-        chunks_skipped = util::parallel_chunks(pool, n_work, n_threads,
-                                               run_chunk_abs, options.cancel);
+        chunks_skipped = util::parallel_chunks(
+            session.pool(n_threads), n_work, n_threads,
+            [&](std::size_t c, long long begin, long long end) {
+                run_chunk(c, w_begin + begin, w_begin + end);
+            },
+            options.cancel);
     }
 
     // Reduce in chunk (= enumeration) order with the same strict
     // comparison the per-chunk loops used, so ties resolve toward the
     // lowest index exactly as the sequential search did.
-    bool have_best = false;
     for (const auto& chunk : chunks) {
         result.n_evaluated += chunk.n_evaluated;
         result.n_pruned += chunk.n_pruned;
@@ -1215,12 +1244,12 @@ Search_result exhaustive_engine(const Eval_context& ctx,
         result.chunks_abandoned += chunk.abandoned ? 1 : 0;
         result.cache_stats += chunk.stats;
         if (chunk.have_best &&
-            (!have_best || better_than(chunk.best, result.best))) {
+            (!result.have_best ||
+             search::better_than(chunk.best, result.best))) {
             result.best = chunk.best;
-            have_best = true;
+            result.have_best = true;
         }
     }
-    result.have_best = have_best;
     result.chunks_abandoned += static_cast<long long>(chunks_skipped);
     if (options.cancel != nullptr) {
         result.status = options.cancel->status();
@@ -1235,9 +1264,4 @@ Search_result exhaustive_engine(const Eval_context& ctx,
     return result;
 }
 
-// The deprecated exhaustive_search shim lives in solver/compat.cpp:
-// it delegates to a solver::Session, and the solver layer already
-// depends on this one — defining it there keeps the dependency
-// one-directional.
-
-}  // namespace lycos::search
+}  // namespace lycos::solver::detail

@@ -1,20 +1,74 @@
-#include "search/hill_climb.hpp"
-
-#include <algorithm>
+// hill_climb — iterated hill climbing over the allocation space.
+//
+// The eigen example's space (~10^6 allocations, each costing a PACE
+// run) made exhaustive evaluation impossible for the paper (footnote
+// 1: the best allocation was the best found "using numerous
+// experiments").  This search plays that role reproducibly: steepest-
+// ascent hill climbing on the +-1-unit neighbourhood, restarted from
+// random points of the space (Hill_climb_extras: restart 0 starts from
+// the empty allocation, the rest from points drawn from the seed).
+//
+// The climb adopted the exhaustive walker's cheap-evaluation tricks:
+// every candidate is scored with the *value-only* screening DP
+// (pace_best_saving — no traceback bookkeeping), steps and the
+// per-restart best are chosen on the screened (time, area) tuple, and
+// only the overall winner pays for one full partition
+// reconstruction.  With Solve_options::use_pruning, neighbours
+// additionally pass through admissible *proxy-cost* screening
+// (search/proxy_cost.hpp): projections already memoized come straight
+// from Eval_cache::find_one, the rest are stood in for by optimistic
+// costs, and only neighbours the proxy cannot rule out pay for real
+// schedules.  The proxy time lower-bounds the exact screened time, so
+// skipped neighbours could never have been stepped to nor have
+// improved the restart best — the trajectory and the final tuple are
+// bit-identical with the screen on or off (skips land in n_pruned).
+// The screen is auto-disabled under a storage model (no sound proxy
+// exists; see Proxy_cost_model::sound).  With an explicit search
+// quantum the DP table width is additionally pinned to the total ASIC
+// area (Eval_context::dp_table_budget), so the per-worker
+// Pace_workspace checkpoint stays valid across the +-1 neighbourhood
+// — neighbouring candidates share long cost prefixes, exactly the
+// access pattern the incremental DP feeds on.  The workspaces are the
+// session's Dp_workspace_pool slots, so a repeat climb of the same
+// problem resumes at the first divergent cost row.  The screened time
+// equals the full partition's up to float summation order, so the
+// climb's trajectory is unchanged except on ties at that noise level.
+//
+// Restarts are independent, so they run in parallel on the session
+// pool.  Worker 0 climbs on the session cache (unless use_cache is
+// off), the others on private caches bounded by cache_capacity.
+// Determinism contract: every start point is drawn from the seed in
+// restart order *before* any climbing, each restart climbs in
+// isolation, and per-restart bests are reduced in restart order with
+// the same strict comparison — so the result is bit-identical to the
+// sequential climb for any thread count.  A cancel token's logical
+// work unit is the restart index: the injected cut climbs exactly the
+// restarts below it; live conditions additionally poll once per climb
+// step and keep the partial restart's best.
 #include <array>
 #include <limits>
 #include <optional>
+#include <stdexcept>
 #include <utility>
 
+#include "search/alloc_space.hpp"
 #include "search/eval_cache.hpp"
 #include "search/proxy_cost.hpp"
 #include "search/workspace_pool.hpp"
+#include "solver/internal.hpp"
+#include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 #include "util/timer.hpp"
 
-namespace lycos::search {
+namespace lycos::solver::detail {
 
 namespace {
+
+using search::Alloc_space;
+using search::better_tuple;
+using search::Eval_cache;
+using search::Eval_cache_stats;
+using search::Eval_context;
 
 /// Screened score of one candidate: the value-only DP's hybrid time
 /// and the data-path area — everything the climb needs to pick steps
@@ -43,26 +97,17 @@ struct Restart_result {
 /// the proxy tuple still beats the current point.
 struct Climb_scratch {
     Eval_cache& cache;
-    std::optional<Proxy_cost_model> proxy;
-    /// Per-worker DP arena (the scratch is constructed inside the
-    /// restart-chunk task body): the workspace's rows are
-    /// first-touched on the worker that climbs with them.  Declared
-    /// before the workspace it backs.
-    util::Arena arena;
-    pace::Pace_workspace own_ws{&arena};
-    /// The workspace the screens sweep on: the private one above, or
-    /// a session-persistent Dp_workspace_pool slot whose checkpoint
+    std::optional<search::Proxy_cost_model> proxy;
+    /// The worker's session Dp_workspace_pool slot, whose checkpoint
     /// survives into the next solve.
-    pace::Pace_workspace* ws = &own_ws;
+    pace::Pace_workspace* ws;
     std::vector<pace::Bsb_cost> costs;
     std::vector<int> counts;
 
     Climb_scratch(const Eval_context& ctx, Eval_cache& c, bool use_proxy,
-                  pace::Pace_workspace* persistent_ws)
-        : cache(c)
+                  pace::Pace_workspace& slot_ws)
+        : cache(c), ws(&slot_ws)
     {
-        if (persistent_ws != nullptr)
-            ws = persistent_ws;
         if (use_proxy) {
             proxy.emplace(ctx, c);
             if (!proxy->sound())
@@ -138,8 +183,8 @@ struct Climb_scratch {
 /// screened evaluation (not just accepted steps) exactly as the
 /// full-evaluation climb did.
 void climb(const Eval_context& ctx, const Alloc_space& space,
-           const Hill_climb_options& options, const core::Rmap& start,
-           Climb_scratch& scratch, Restart_result& out)
+           int max_steps, const core::Rmap& start, Climb_scratch& scratch,
+           Restart_result& out)
 {
     auto consider = [&](double time, double area, const core::Rmap& p) {
         if (!out.best.valid ||
@@ -158,7 +203,7 @@ void climb(const Eval_context& ctx, const Alloc_space& space,
         ctx.cancel->charge_evals(1);
     consider(cur_time, cur_area, current);
 
-    for (int step = 0; step < options.max_steps; ++step) {
+    for (int step = 0; step < max_steps; ++step) {
         // Live-condition poll once per climb step: a tripped token
         // keeps whatever this restart found so far.
         if (ctx.cancel != nullptr && ctx.cancel->stop())
@@ -209,17 +254,22 @@ void climb(const Eval_context& ctx, const Alloc_space& space,
 
 }  // namespace
 
-Search_result hill_climb_engine(const Eval_context& ctx,
-                                const core::Rmap& restrictions,
-                                const Hill_climb_options& options,
-                                util::Rng& rng)
+Solve_result solve_hill_climb(Session& session, const Solve_options& options)
 {
+    const auto extras =
+        extras_or_default<Hill_climb_extras>(options, "hill_climb");
+    if (!options.window.whole())
+        throw std::invalid_argument(
+            "hill_climb: Solve_options::window is not supported — the "
+            "climb has no contiguous unit range to lease");
     util::Wall_timer timer;
-    const Alloc_space space(ctx.lib, restrictions);
+    const Eval_context& ctx = session.context();
+    const Alloc_space space(ctx.lib, session.problem().restrictions);
 
-    Search_result result;
+    Solve_result result;
+    result.strategy = "hill_climb";
     result.space_size = space.size();
-    const int n_restarts = options.n_restarts;
+    const int n_restarts = extras.n_restarts;
     if (n_restarts <= 0) {
         result.seconds = timer.seconds();
         return result;
@@ -228,7 +278,7 @@ Search_result hill_climb_engine(const Eval_context& ctx,
     // Pin the DP table width to the total ASIC area so each worker's
     // Pace_workspace checkpoint stays valid across the neighbourhood's
     // different leftover controller budgets — only with an explicit
-    // search quantum, for the same reason exhaustive_engine does: the
+    // search quantum, for the same reason exhaustive_bb does: the
     // automatic quantum derives from the budget, and widening the
     // table would change it.
     Eval_context run_ctx = ctx;
@@ -240,26 +290,26 @@ Search_result hill_climb_engine(const Eval_context& ctx,
     // sequence — and therefore the whole search — is independent of
     // how restarts are later spread over threads.  Restart 0 is the
     // empty allocation (a safe baseline), the rest random points.
+    util::Rng rng(extras.seed);
     std::vector<core::Rmap> starts;
     starts.reserve(static_cast<std::size_t>(n_restarts));
     starts.emplace_back();
     for (int r = 1; r < n_restarts; ++r)
         starts.push_back(space.nth(rng.uniform_index(space.size())));
 
-    std::size_t n_threads =
-        options.n_threads > 0
-            ? static_cast<std::size_t>(options.n_threads)
-            : util::Thread_pool::default_concurrency();
-    n_threads = std::max<std::size_t>(
-        1,
-        std::min(n_threads, static_cast<std::size_t>(n_restarts)));
+    const std::size_t n_threads = util::clamp_chunks(
+        options.n_threads, util::Thread_pool::default_concurrency(),
+        n_restarts);
     result.n_threads = static_cast<int>(n_threads);
 
-    // Session-persistent workspaces: one slot per chunk, grown and
-    // marked cross-request before any worker runs (see
-    // exhaustive_engine for the same dance).
-    if (options.dp_pool != nullptr)
-        options.dp_pool->prepare(n_threads);
+    Eval_cache* session_cache =
+        options.use_cache ? &session.cache(options.cache_capacity) : nullptr;
+    const auto& invariants = session.invariants();
+
+    // One workspace slot per chunk, grown and marked cross-request
+    // before any worker runs (see exhaustive_bb for the same dance).
+    search::Dp_workspace_pool& dp_pool = session.workspaces();
+    dp_pool.prepare(n_threads);
 
     std::vector<Restart_result> restarts(
         static_cast<std::size_t>(n_restarts));
@@ -272,21 +322,18 @@ Search_result hill_climb_engine(const Eval_context& ctx,
         Eval_cache* cache = nullptr;
         std::optional<Eval_cache> own_cache;
         Eval_cache_stats shared_before;
-        if (c == 0 && options.shared_cache != nullptr) {
-            cache = options.shared_cache;
+        if (c == 0 && session_cache != nullptr) {
+            cache = session_cache;
             shared_before = cache->stats();
         }
         else {
-            own_cache.emplace(ctx, options.cache_capacity,
-                              options.invariants);
+            own_cache.emplace(ctx, options.cache_capacity, invariants);
             cache = &*own_cache;
         }
-        Climb_scratch scratch(run_ctx, *cache, options.use_proxy_screen,
-                              options.dp_pool != nullptr
-                                  ? &options.dp_pool->slot(c).pace
-                                  : nullptr);
-        // Persistent workspaces carry counters from earlier solves —
-        // report this chunk's deltas only (zero-based for private ones).
+        Climb_scratch scratch(run_ctx, *cache, options.use_pruning,
+                              dp_pool.slot(c).pace);
+        // The session workspace carries counters from earlier solves —
+        // report this chunk's deltas only.
         const long long reused0 = scratch.ws->rows_reused();
         const long long swept0 = scratch.ws->rows_swept();
         const long long foreign0 = scratch.ws->rows_reused_foreign();
@@ -303,11 +350,11 @@ Search_result hill_climb_engine(const Eval_context& ctx,
                 ++chunk_refused[c];
                 continue;
             }
-            climb(run_ctx, space, options,
+            climb(run_ctx, space, extras.max_steps,
                   starts[static_cast<std::size_t>(r)], scratch,
                   restarts[static_cast<std::size_t>(r)]);
         }
-        chunk_stats[c] = cache == options.shared_cache
+        chunk_stats[c] = cache == session_cache
                              ? cache->stats().minus(shared_before)
                              : cache->stats();
         chunk_dp[c] = {scratch.ws->rows_reused() - reused0,
@@ -316,18 +363,12 @@ Search_result hill_climb_engine(const Eval_context& ctx,
     };
 
     std::size_t chunks_skipped = 0;
-    if (n_threads == 1) {
+    if (n_threads == 1)
         run_chunk(0, 0, n_restarts);
-    }
-    else if (options.pool != nullptr) {
-        chunks_skipped = util::parallel_chunks(
-            *options.pool, n_restarts, n_threads, run_chunk, options.cancel);
-    }
-    else {
-        util::Thread_pool pool(n_threads);
-        chunks_skipped = util::parallel_chunks(pool, n_restarts, n_threads,
-                                               run_chunk, options.cancel);
-    }
+    else
+        chunks_skipped =
+            util::parallel_chunks(session.pool(n_threads), n_restarts,
+                                  n_threads, run_chunk, options.cancel);
 
     // Reduce in restart order with the strict screened comparison the
     // per-restart loops used, so ties keep the earliest restart.
@@ -365,7 +406,7 @@ Search_result hill_climb_engine(const Eval_context& ctx,
     if (winner.valid) {
         Eval_context final_ctx = run_ctx;
         final_ctx.cancel = nullptr;
-        result.best = evaluate_allocation(final_ctx, winner.point);
+        result.best = search::evaluate_allocation(final_ctx, winner.point);
         result.have_best = true;
     }
 
@@ -373,7 +414,4 @@ Search_result hill_climb_engine(const Eval_context& ctx,
     return result;
 }
 
-// The deprecated hill_climb_search shim lives in solver/compat.cpp
-// (see the note in exhaustive.cpp).
-
-}  // namespace lycos::search
+}  // namespace lycos::solver::detail

@@ -1,7 +1,8 @@
 // Internal seams between the solver translation units: the strategy
-// singletons in strategies.cpp dispatch to these per-strategy solve
-// functions (multi_asic_bb lives in its own file — the pair walk is a
-// full engine, not a thin adapter).  Not part of the public API.
+// singletons in strategies.cpp dispatch to these per-strategy engines,
+// one file each (exhaustive_bb.cpp, hill_climb.cpp, multi_asic_bb.cpp).
+// Every engine takes its pool, cache, invariants and DP workspaces
+// from the Session.  Not part of the public API.
 #pragma once
 
 #include <stdexcept>

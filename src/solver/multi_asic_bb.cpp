@@ -279,17 +279,14 @@ Solve_result solve_multi_asic_bb(Session& session,
     // Shared prep: the axis cost block, the all-software baseline, the
     // float-safety slack, and a primed time-to-beat from the greedy
     // probe pair so every worker prunes from the start.  All of it is
-    // fetched through one prep cache: the session's (or the caller's
-    // shared one) when caching is on; an uncached solve must not
-    // mutate the caller's shared cache or instantiate the session one,
-    // so it fetches through a throwaway.
-    search::Eval_cache* shared_cache = nullptr;
+    // fetched through one prep cache: the session's when caching is
+    // on; an uncached solve must not mutate or instantiate the
+    // session cache, so it fetches through a throwaway.
+    search::Eval_cache* session_cache = nullptr;
     search::Eval_cache_stats shared_before;
     if (options.use_cache) {
-        shared_cache = options.shared_cache != nullptr
-                           ? options.shared_cache
-                           : &session.cache(options.cache_capacity);
-        shared_before = shared_cache->stats();
+        session_cache = &session.cache(options.cache_capacity);
+        shared_before = session_cache->stats();
     }
 
     const bool use_row_bound = options.use_pruning && extras.use_row_bound;
@@ -300,8 +297,8 @@ Solve_result solve_multi_asic_bb(Session& session,
     {
         std::optional<search::Eval_cache> prep_local;
         search::Eval_cache& prep =
-            shared_cache != nullptr
-                ? *shared_cache
+            session_cache != nullptr
+                ? *session_cache
                 : prep_local.emplace(ctx, options.cache_capacity,
                                      invariants);
 
@@ -371,7 +368,7 @@ Solve_result solve_multi_asic_bb(Session& session,
                 all_sw - pace::multi_pace_best_saving(probe_costs, mo, &mws);
         }
         if (options.use_cache)
-            out.cache_stats = shared_cache->stats().minus(shared_before);
+            out.cache_stats = session_cache->stats().minus(shared_before);
     }
     const double slack = 1e-7 * std::max(1.0, std::abs(all_sw));
 
@@ -381,7 +378,7 @@ Solve_result solve_multi_asic_bb(Session& session,
     out.n_threads = static_cast<int>(n_threads);
 
     // Session-persistent DP workspaces: worker c's Multi_pace_workspace
-    // (sparse state sets, frontier rows, traceback arena) lives on pool
+    // (sparse state sets, merge scratch, traceback arena) lives on pool
     // slot c, so its grow-only buffers survive between solves and a
     // repeat solve pays no re-allocation — the multi-ASIC share of the
     // serve layer's cross-request reuse.

@@ -4,7 +4,6 @@
 #include <stdexcept>
 
 #include "search/alloc_space.hpp"
-#include "search/exhaustive.hpp"
 #include "search/workspace_pool.hpp"
 #include "solver/internal.hpp"
 #include "util/thread_pool.hpp"
@@ -136,43 +135,6 @@ std::vector<Problem_defect> Problem::validate() const
                          std::to_string(lib->size()) + ")"});
     }
     return defects;
-}
-
-Problem make_problem(const search::Eval_context& ctx,
-                     const core::Rmap& restrictions)
-{
-    Problem p;
-    p.bsbs = ctx.bsbs;
-    p.lib = &ctx.lib;
-    p.target = ctx.target;
-    p.restrictions = restrictions;
-    p.ctrl_mode = ctx.ctrl_mode;
-    p.area_quantum = ctx.area_quantum;
-    p.dp_table_budget = ctx.dp_table_budget;
-    p.storage = ctx.storage;
-    p.scheduler = ctx.scheduler;
-    return p;
-}
-
-search::Search_result to_search_result(const Solve_result& result)
-{
-    search::Search_result out;
-    out.best = result.best;
-    out.have_best = result.have_best;
-    out.n_evaluated = result.n_evaluated;
-    out.n_pruned = result.n_pruned;
-    out.n_pruned_remote = result.n_pruned_remote;
-    out.space_size = result.space_size;
-    out.seconds = result.seconds;
-    out.n_threads = result.n_threads;
-    out.cache_stats = result.cache_stats;
-    out.dp_rows_reused = result.dp_rows_reused;
-    out.dp_rows_swept = result.dp_rows_swept;
-    out.dp_rows_reused_cross_request = result.dp_rows_reused_cross_request;
-    out.status = result.status;
-    out.chunks_abandoned = result.chunks_abandoned;
-    out.rows_abandoned = result.rows_abandoned;
-    return out;
 }
 
 Session::Session(Problem problem)

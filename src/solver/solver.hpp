@@ -1,11 +1,9 @@
 // lycos::solver — the unified session API over the §5 methodology.
 //
 // The paper's pipeline is one loop — allocate, schedule, PACE-
-// partition, score — but the repo grew four divergent entry points
-// for it (exhaustive_search, hill_climb_search, find_best,
-// multi_pace_partition), each with its own options struct and with
-// caches, workspaces and thread pools threaded by every caller.  This
-// module is the facade that owns all of that once:
+// partition, score.  This module is the one entry point for it, and
+// it owns the caches, workspaces and thread pools every search needs
+// so no caller threads them by hand:
 //
 //   Problem   what to solve: BSBs, target ASIC(s), restrictions and
 //             the objective — a pure description, no machinery.
@@ -17,16 +15,14 @@
 //   Strategy  a registered, named way to search: `exhaustive_bb`
 //             (branch-and-bound over the full space), `hill_climb`
 //             (iterated restarts with value-DP screening), and
-//             `multi_asic_bb` — the first multi-ASIC allocation
-//             *search*, enumerating two-ASIC allocation pairs over
-//             the frontier DP.
+//             `multi_asic_bb` (branch-and-bound over two-ASIC
+//             allocation pairs, scored by the sparse two-ASIC DP).
+//             Each is one engine, Solve_result fn(Session&, const
+//             Solve_options&), with one options and one result type.
 //
 // Determinism contract (all strategies): the best tuple is
 // bit-identical for any thread count, any chunking, any cache
-// capacity, shared or private invariants.  The old free functions
-// survive as thin deprecated shims delegating to a one-shot Session,
-// pinned bit-identical by tests/test_solver.cpp and the CI bench
-// cross-check.
+// capacity, warm or cold session state.
 #pragma once
 
 #include <array>
@@ -51,7 +47,6 @@ class Thread_pool;
 }
 
 namespace lycos::search {
-struct Search_result;
 class Dp_workspace_pool;
 }
 
@@ -114,39 +109,29 @@ struct Problem {
     std::vector<Problem_defect> validate() const;
 };
 
-/// Problem from an existing Eval_context + restrictions — what the
-/// deprecated shims (and callers mid-migration) use.
-Problem make_problem(const search::Eval_context& ctx,
-                     const core::Rmap& restrictions);
-
 /// Extra knobs of the `hill_climb` strategy.
 struct Hill_climb_extras {
     int n_restarts = 12;  ///< restart 0 = empty allocation, rest random
     int max_steps = 128;  ///< safety bound per climb
     /// Start points are drawn from this seed in restart order (the
-    /// repo's fixed reproducible seed by default)...
+    /// repo's fixed reproducible seed by default).
     std::uint64_t seed = 0xD47E1998;
-    /// ...or from this live generator when non-null (the deprecated
-    /// shim passes its caller's rng through here).
-    util::Rng* rng = nullptr;
 };
 
 /// Extra knobs of the `multi_asic_bb` strategy.
 struct Multi_asic_extras {
-    /// Soft cap on the walked pair space (after the per-axis area
-    /// filter).  A pair space larger than this no longer throws: the
-    /// search walks exactly the first `pair_limit` pairs in a0-major
-    /// order — deterministically, whatever the thread count — and
-    /// reports the rest in Multi_solve_result::pairs_skipped, so
-    /// callers degrade to a best-of-prefix instead of failing
-    /// mid-search.  The per-a0-row bound makes the default
-    /// unreachable on the standard bench spaces (whole rows die
-    /// before any pair DP runs); raise it (`lycos_cli --pair-limit`)
-    /// or set it <= 0 (unlimited) for eigen-scale spaces.  When pairs
-    /// are skipped, incumbent priming is disabled so pruning can only
-    /// compare against pairs inside the walked prefix (the best pair
-    /// stays exactly the brute-force best of that prefix).
-    long long pair_limit = 1LL << 23;
+    /// Optional soft cap on the walked pair space (after the per-axis
+    /// area filter); <= 0, the default, walks the whole space.  Under
+    /// a cap the search walks exactly the first `pair_limit` pairs in
+    /// a0-major order — deterministically, whatever the thread count
+    /// — and reports the rest in Multi_solve_result::pairs_skipped, a
+    /// best-of-prefix answer.  A truncated walk disables incumbent
+    /// priming, so pruning can only compare against pairs inside the
+    /// walked prefix (the best pair stays exactly the brute-force best
+    /// of that prefix) — which is why a cap saves little: the exact
+    /// walk of eigen's 27 M-pair space takes only about a fifth longer
+    /// than its unprimed 2^23-pair prefix.
+    long long pair_limit = 0;
 
     /// Branch-and-bound over the a0-major pair *tree*: before any
     /// per-pair DP runs in a row, an O(1) separable row check may kill
@@ -175,10 +160,6 @@ struct Solve_options {
     bool use_cache = true;    ///< memoize per-BSB scheduling (see above)
     bool use_pruning = true;  ///< branch-and-bound / screening prunes
     std::size_t cache_capacity = 0;  ///< per-worker cache cap (0 = unbounded)
-
-    /// Caller-owned cache for worker 0 instead of the session's (the
-    /// deprecated shims pass their caller's cache through here).
-    search::Eval_cache* shared_cache = nullptr;
 
     // --- Deadlines, budgets, and anytime results (docs/api.md) ---
     // When any of these is armed, Session::solve builds a
@@ -339,9 +320,6 @@ struct Solve_result {
     Dist_solve_result dist;
 };
 
-/// Shim helper: the old Search_result view of a Solve_result.
-search::Search_result to_search_result(const Solve_result& result);
-
 class Session;
 
 /// A registered way to search a Problem.  Strategies are stateless
@@ -405,14 +383,14 @@ public:
     util::Thread_pool& pool(std::size_t n_threads);
 
     /// The session-owned persistent DP workspace pool (created on
-    /// first use): every solve lends it to the engines as
-    /// Exhaustive_options::dp_pool, so worker c's incremental-PACE
-    /// checkpoint survives between solves and a repeat solve of the
-    /// same (quantum, width) fingerprint resumes at the first
-    /// divergent cost row instead of re-sweeping — the serve layer's
-    /// cross-request warm start (Solve_result::
-    /// dp_rows_reused_cross_request).  Results are bit-identical with
-    /// or without the warm checkpoints (see Pace_workspace).
+    /// first use): worker c of every solve sweeps on slot c, so its
+    /// incremental-PACE checkpoint survives between solves and a
+    /// repeat solve of the same (quantum, width) fingerprint resumes
+    /// at the first divergent cost row instead of re-sweeping — the
+    /// serve layer's cross-request warm start
+    /// (Solve_result::dp_rows_reused_cross_request).  Results are
+    /// bit-identical with or without the warm checkpoints (see
+    /// Pace_workspace).
     search::Dp_workspace_pool& workspaces();
 
     /// Run the named strategy.  Throws std::invalid_argument for

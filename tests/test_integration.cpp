@@ -16,14 +16,15 @@
 #include "core/allocator.hpp"
 #include "hw/target.hpp"
 #include "pace/brute_force.hpp"
-#include "search/exhaustive.hpp"
-#include "search/hill_climb.hpp"
+#include "search/alloc_space.hpp"
+#include "solver/solver.hpp"
 
 namespace la = lycos::apps;
 namespace lc = lycos::core;
 namespace lh = lycos::hw;
 namespace lp = lycos::pace;
 namespace lse = lycos::search;
+namespace lso = lycos::solver;
 
 namespace {
 
@@ -52,6 +53,17 @@ struct Pipeline {
     lse::Eval_context context(double quantum = 0.0) const
     {
         return {app.bsbs, lib, target, k_eval_mode, quantum};
+    }
+
+    /// The best-allocation search over the restriction space.
+    lso::Problem search_problem(double quantum) const
+    {
+        return {.bsbs = app.bsbs,
+                .lib = &lib,
+                .target = target,
+                .restrictions = restrictions,
+                .ctrl_mode = k_eval_mode,
+                .area_quantum = quantum};
     }
 };
 
@@ -83,7 +95,8 @@ TEST(Integration, straight_and_hal_match_best_allocation)
         const auto ctx = p.context(quantum);
         const auto heuristic =
             lse::evaluate_allocation(ctx, p.heuristic_alloc.allocation);
-        const auto best = lse::exhaustive_engine(ctx, p.restrictions);
+        lso::Session session(p.search_problem(quantum));
+        const auto best = session.solve("exhaustive_bb");
         EXPECT_GE(best.best.speedup_pct() + 1e-6, heuristic.speedup_pct())
             << p.app.name;
         EXPECT_GT(heuristic.speedup_pct(),
@@ -179,12 +192,12 @@ TEST(Integration, eigen_space_too_large_to_exhaust)
 TEST(Integration, eigen_hill_climb_finds_better_than_heuristic)
 {
     const Pipeline p(la::make_eigen());
-    lycos::util::Rng rng(2024);
     const double quantum = p.target.asic.total_area / 512.0;
-    const auto hc = lse::hill_climb_engine(p.context(quantum),
-                                           p.restrictions,
-                                           {.n_restarts = 4, .max_steps = 64},
-                                           rng);
+    lso::Session session(p.search_problem(quantum));
+    lso::Solve_options options;
+    options.extras = lso::Hill_climb_extras{
+        .n_restarts = 4, .max_steps = 64, .seed = 2024};
+    const auto hc = session.solve("hill_climb", options);
     EXPECT_GT(hc.best.speedup_pct(), p.heuristic.speedup_pct());
 }
 

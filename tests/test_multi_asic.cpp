@@ -170,13 +170,12 @@ TEST(MultiPace, evaluate_round_trip_and_size_mismatch)
 }
 
 // The sparse contract: the Pareto-sparse DP with its per-state nibble
-// traceback returns the identical placement and time both retained
-// references compute — the reachable-frontier sweep and the dense
-// full scan — across random costs (including infeasible entries),
-// random budgets, explicit and auto quanta, and a workspace reused
-// over differently-sized problems.  Values, tracebacks and
+// traceback returns the identical placement and time the dense
+// full-scan reference computes, across random costs (including
+// infeasible entries), random budgets, explicit and auto quanta, and a
+// workspace reused over differently-sized problems.  Values, tracebacks and
 // area_quantum_used must all agree bit for bit.
-TEST(MultiPace, sparse_matches_frontier_and_dense_randomized)
+TEST(MultiPace, sparse_matches_dense_randomized)
 {
     constexpr double inf = std::numeric_limits<double>::infinity();
     lycos::util::Rng rng(47);
@@ -212,15 +211,10 @@ TEST(MultiPace, sparse_matches_frontier_and_dense_randomized)
             .area_quantum = trial % 3 == 0 ? 0.0 : 1.0};
 
         const auto sparse = lp::multi_pace_partition(costs, opts, &ws);
-        const auto frontier =
-            lp::multi_pace_partition_frontier(costs, opts, &ws);
         const auto dense = lp::multi_pace_partition_reference(costs, opts);
         EXPECT_EQ(sparse.placement, dense.placement) << "trial " << trial;
         EXPECT_EQ(sparse.time_hybrid_ns, dense.time_hybrid_ns);
         EXPECT_EQ(sparse.area_quantum_used, dense.area_quantum_used);
-        EXPECT_EQ(frontier.placement, dense.placement) << "trial " << trial;
-        EXPECT_EQ(frontier.time_hybrid_ns, dense.time_hybrid_ns);
-        EXPECT_EQ(frontier.area_quantum_used, dense.area_quantum_used);
         EXPECT_LE(sparse.ctrl_area_used[0],
                   opts.ctrl_area_budgets[0] + 1e-9);
         EXPECT_LE(sparse.ctrl_area_used[1],
@@ -228,7 +222,7 @@ TEST(MultiPace, sparse_matches_frontier_and_dense_randomized)
         // Sparse observability: the antichains can never store more
         // than the dense grid holds.
         EXPECT_GT(sparse.dp_states_stored, 0);
-        EXPECT_LE(sparse.dp_cells_swept, frontier.dp_cells_swept);
+        EXPECT_LE(sparse.dp_cells_swept, sparse.dp_cells_dense);
         EXPECT_EQ(sparse.dp_cells_dense, dense.dp_cells_swept);
 
         // Value-only screening agrees with the full partition.
@@ -236,9 +230,6 @@ TEST(MultiPace, sparse_matches_frontier_and_dense_randomized)
         EXPECT_NEAR(saving, sparse.time_all_sw_ns - sparse.time_hybrid_ns,
                     1e-6)
             << "trial " << trial;
-        // ...and with the frontier screen bit for bit.
-        EXPECT_EQ(saving,
-                  lp::multi_pace_best_saving_frontier(costs, opts, &ws));
 
         // Optimistic rounding is admissible: the floor-rounded value
         // upper-bounds the ceil-rounded one at the same quantum.
@@ -438,7 +429,7 @@ TEST(MultiPace, pathological_quantum_is_requantized_not_allocated)
 TEST(MultiPace, compact_traceback_is_at_least_4x_smaller)
 {
     // Nibble packing alone halves each of the two dense byte arrays;
-    // frontier-sized rows shrink it further.
+    // storing only the sparse rows' states shrinks it further.
     lycos::util::Rng rng(7);
     std::vector<lp::Multi_bsb_cost> costs;
     for (int i = 0; i < 12; ++i)

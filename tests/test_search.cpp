@@ -1,21 +1,23 @@
-// Tests for search: allocation-space enumeration, exhaustive search
-// and hill climbing.
+// Tests for search: allocation-space enumeration, the exhaustive_bb
+// and hill_climb strategies, and the evaluation cache.
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <string_view>
 
 #include "apps/random_app.hpp"
 #include "core/allocator.hpp"
 #include "hw/target.hpp"
+#include "search/alloc_space.hpp"
 #include "search/eval_cache.hpp"
-#include "search/exhaustive.hpp"
-#include "search/hill_climb.hpp"
+#include "solver/solver.hpp"
 #include "util/rng.hpp"
 
 namespace lc = lycos::core;
 namespace lh = lycos::hw;
 namespace lb = lycos::bsb;
 namespace lse = lycos::search;
+namespace lso = lycos::solver;
 using lh::Op_kind;
 
 namespace {
@@ -44,6 +46,41 @@ std::vector<lb::Bsb> small_app()
     cold.profile = 2.0;
     bsbs.push_back(std::move(cold));
     return bsbs;
+}
+
+/// The search problem over `bounds` under `ctx`'s evaluation settings.
+lso::Problem problem_over(const lse::Eval_context& ctx, const lc::Rmap& bounds)
+{
+    return {.bsbs = ctx.bsbs,
+            .lib = &ctx.lib,
+            .target = ctx.target,
+            .restrictions = bounds,
+            .ctrl_mode = ctx.ctrl_mode,
+            .area_quantum = ctx.area_quantum,
+            .scheduler = ctx.scheduler};
+}
+
+/// One solve on a fresh Session, so no run inherits another's warm
+/// cache or DP checkpoints.
+lso::Solve_result solve(const lse::Eval_context& ctx, const lc::Rmap& bounds,
+                        std::string_view strategy,
+                        const lso::Solve_options& options = {})
+{
+    lso::Session session(problem_over(ctx, bounds));
+    return session.solve(strategy, options);
+}
+
+/// Hill-climb options: `n_restarts` climbs of at most `max_steps`
+/// steps, start points drawn from `seed`.
+lso::Solve_options climb(int n_restarts, int max_steps, std::uint64_t seed,
+                         int n_threads = 0, bool use_proxy_screen = true)
+{
+    lso::Solve_options options;
+    options.n_threads = n_threads;
+    options.use_pruning = use_proxy_screen;
+    options.extras = lso::Hill_climb_extras{
+        .n_restarts = n_restarts, .max_steps = max_steps, .seed = seed};
+    return options;
 }
 
 }  // namespace
@@ -146,7 +183,7 @@ TEST(Exhaustive, finds_at_least_the_allocator_result)
     lc::Rmap bounds;
     bounds.set(0, 2);
     bounds.set(1, 3);
-    const auto best = lse::exhaustive_engine(ctx, bounds);
+    const auto best = solve(ctx, bounds, "exhaustive_bb");
 
     EXPECT_GE(best.best.speedup_pct(), heuristic_eval.speedup_pct() - 1e-9);
     EXPECT_GT(best.n_evaluated, 0);
@@ -220,14 +257,14 @@ TEST(Exhaustive, parallel_and_cached_match_sequential_uncached)
     bounds.set(0, 2);
     bounds.set(1, 3);
 
-    const auto reference = lse::exhaustive_engine(
-        ctx, bounds,
+    const auto reference = solve(
+        ctx, bounds, "exhaustive_bb",
         {.n_threads = 1, .use_cache = false, .use_pruning = false});
     for (int n_threads : {1, 2, 3, 7}) {
         for (bool use_cache : {false, true}) {
             for (bool use_pruning : {false, true}) {
-                const auto r = lse::exhaustive_engine(
-                    ctx, bounds,
+                const auto r = solve(
+                    ctx, bounds, "exhaustive_bb",
                     {.n_threads = n_threads, .use_cache = use_cache,
                      .use_pruning = use_pruning});
                 EXPECT_EQ(r.best.datapath, reference.best.datapath);
@@ -262,7 +299,7 @@ TEST(Exhaustive, empty_restrictions_single_point)
     const lse::Eval_context ctx{bsbs, lib, target,
                                 lycos::pace::Controller_mode::optimistic_eca,
                                 1.0};
-    const auto r = lse::exhaustive_engine(ctx, lc::Rmap{});
+    const auto r = solve(ctx, lc::Rmap{}, "exhaustive_bb");
     EXPECT_EQ(r.space_size, 1);
     EXPECT_EQ(r.n_evaluated, 1);
     // Empty allocation: nothing in hardware, zero speedup.
@@ -281,13 +318,10 @@ TEST(HillClimb, never_beats_exhaustive_and_is_deterministic)
     bounds.set(0, 2);
     bounds.set(1, 3);
 
-    const auto exhaustive = lse::exhaustive_engine(ctx, bounds);
+    const auto exhaustive = solve(ctx, bounds, "exhaustive_bb");
 
-    lycos::util::Rng rng1(123), rng2(123);
-    const auto hc1 = lse::hill_climb_engine(ctx, bounds, {.n_restarts = 6},
-                                            rng1);
-    const auto hc2 = lse::hill_climb_engine(ctx, bounds, {.n_restarts = 6},
-                                            rng2);
+    const auto hc1 = solve(ctx, bounds, "hill_climb", climb(6, 256, 123));
+    const auto hc2 = solve(ctx, bounds, "hill_climb", climb(6, 256, 123));
 
     EXPECT_LE(hc1.best.speedup_pct(), exhaustive.best.speedup_pct() + 1e-9);
     EXPECT_EQ(hc1.best.datapath, hc2.best.datapath);  // deterministic
@@ -324,15 +358,15 @@ TEST(Exhaustive, pruned_unpruned_and_naive_agree_on_random_spaces)
         lse::Eval_context naive_ctx = ctx;
         naive_ctx.scheduler = lycos::sched::Scheduler_kind::naive;
 
-        const auto naive = lse::exhaustive_engine(
-            naive_ctx, bounds,
+        const auto naive = solve(
+            naive_ctx, bounds, "exhaustive_bb",
             {.n_threads = 1, .use_cache = false, .use_pruning = false});
-        const auto unpruned = lse::exhaustive_engine(
-            ctx, bounds,
+        const auto unpruned = solve(
+            ctx, bounds, "exhaustive_bb",
             {.n_threads = 1, .use_cache = true, .use_pruning = false});
         for (int n_threads : {1, 2, 5}) {
-            const auto pruned = lse::exhaustive_engine(
-                ctx, bounds,
+            const auto pruned = solve(
+                ctx, bounds, "exhaustive_bb",
                 {.n_threads = n_threads, .use_cache = true,
                  .use_pruning = true});
             EXPECT_EQ(pruned.best.datapath, naive.best.datapath)
@@ -380,11 +414,11 @@ TEST(Exhaustive, pruning_safe_with_fast_but_large_variants)
         const lse::Eval_context ctx{
             bsbs, lib, target, lycos::pace::Controller_mode::list_schedule,
             target.asic.total_area / 64.0};
-        const auto unpruned = lse::exhaustive_engine(
-            ctx, bounds,
+        const auto unpruned = solve(
+            ctx, bounds, "exhaustive_bb",
             {.n_threads = 1, .use_cache = true, .use_pruning = false});
-        const auto pruned = lse::exhaustive_engine(
-            ctx, bounds,
+        const auto pruned = solve(
+            ctx, bounds, "exhaustive_bb",
             {.n_threads = 1, .use_cache = true, .use_pruning = true});
         EXPECT_EQ(pruned.best.datapath, unpruned.best.datapath)
             << "trial " << trial;
@@ -415,11 +449,11 @@ TEST(Exhaustive, incremental_dp_reuses_rows)
     bounds.set(1, 2);
     bounds.set(2, 2);
 
-    const auto reference = lse::exhaustive_engine(
-        ctx, bounds,
+    const auto reference = solve(
+        ctx, bounds, "exhaustive_bb",
         {.n_threads = 1, .use_cache = true, .use_pruning = false});
-    const auto pruned = lse::exhaustive_engine(
-        ctx, bounds,
+    const auto pruned = solve(
+        ctx, bounds, "exhaustive_bb",
         {.n_threads = 1, .use_cache = true, .use_pruning = true});
     EXPECT_EQ(pruned.best.datapath, reference.best.datapath);
     EXPECT_EQ(pruned.best.partition.time_hybrid_ns,
@@ -454,13 +488,13 @@ TEST(Exhaustive, bounded_cache_matches_and_evicts)
     bounds.set(1, 2);
     bounds.set(2, 1);
 
-    const auto unbounded = lse::exhaustive_engine(
-        ctx, bounds,
+    const auto unbounded = solve(
+        ctx, bounds, "exhaustive_bb",
         {.n_threads = 1, .use_cache = true, .use_pruning = false});
     for (const std::size_t cap : {2u, 8u}) {
         for (const bool pruning : {false, true}) {
-            const auto capped = lse::exhaustive_engine(
-                ctx, bounds,
+            const auto capped = solve(
+                ctx, bounds, "exhaustive_bb",
                 {.n_threads = 1, .use_cache = true, .use_pruning = pruning,
                  .cache_capacity = cap});
             EXPECT_EQ(capped.best.datapath, unbounded.best.datapath)
@@ -525,42 +559,6 @@ TEST(EvalCache, segmented_eviction_is_bounded_and_consistent)
     EXPECT_EQ(recomputed.ctrl_area, remembered.ctrl_area);
 }
 
-TEST(Exhaustive, shared_cache_serves_search_and_rescore)
-{
-    const auto lib = small_library();
-    const auto target = lh::make_default_target(3000.0);
-    const auto bsbs = small_app();
-    // Coarse-quantum context for the search...
-    const lse::Eval_context coarse{
-        bsbs, lib, target, lycos::pace::Controller_mode::optimistic_eca,
-        target.asic.total_area / 16.0};
-    // ...fine-quantum context for the re-score (only the quantum may
-    // differ for a shared cache).
-    lse::Eval_context fine = coarse;
-    fine.area_quantum = 1.0;
-
-    lc::Rmap bounds;
-    bounds.set(0, 2);
-    bounds.set(1, 3);
-
-    lse::Eval_cache cache(coarse);
-    const auto r = lse::exhaustive_engine(coarse, bounds,
-                                          {.n_threads = 1,
-                                           .shared_cache = &cache});
-    EXPECT_GT(r.cache_stats.hits + r.cache_stats.misses, 0);
-
-    // The fine re-score hits the warm cache: no new schedules at all.
-    const auto before = cache.stats();
-    const auto rescored =
-        lse::evaluate_allocation(fine, r.best.datapath, &cache);
-    EXPECT_EQ(cache.stats().misses, before.misses);
-    // And cached == uncached at the fine quantum, bit for bit.
-    const auto uncached = lse::evaluate_allocation(fine, r.best.datapath);
-    EXPECT_EQ(rescored.partition.time_hybrid_ns,
-              uncached.partition.time_hybrid_ns);
-    EXPECT_EQ(rescored.datapath_area, uncached.datapath_area);
-}
-
 TEST(HillClimb, parallel_matches_sequential_for_any_thread_count)
 {
     const auto lib = lh::make_default_library();
@@ -580,15 +578,12 @@ TEST(HillClimb, parallel_matches_sequential_for_any_thread_count)
     bounds.set(1, 2);
     bounds.set(2, 1);
 
-    lycos::util::Rng rng_seq(5);
-    const auto sequential = lse::hill_climb_engine(
-        ctx, bounds, {.n_restarts = 8, .n_threads = 1}, rng_seq);
+    const auto sequential =
+        solve(ctx, bounds, "hill_climb", climb(8, 256, 5, 1));
 
     for (int n_threads : {2, 8}) {
-        lycos::util::Rng rng_par(5);
-        const auto parallel = lse::hill_climb_engine(
-            ctx, bounds, {.n_restarts = 8, .n_threads = n_threads},
-            rng_par);
+        const auto parallel =
+            solve(ctx, bounds, "hill_climb", climb(8, 256, 5, n_threads));
         EXPECT_EQ(parallel.best.datapath, sequential.best.datapath)
             << n_threads << " threads";
         EXPECT_EQ(parallel.best.partition.time_hybrid_ns,
@@ -607,11 +602,8 @@ TEST(HillClimb, parallel_matches_sequential_for_any_thread_count)
     // Proxy screening is an optimization, not a search change: with
     // the screen off the climb must land on the identical best tuple
     // (and skip nothing).
-    lycos::util::Rng rng_off(5);
-    const auto no_proxy = lse::hill_climb_engine(
-        ctx, bounds,
-        {.n_restarts = 8, .n_threads = 1, .use_proxy_screen = false},
-        rng_off);
+    const auto no_proxy =
+        solve(ctx, bounds, "hill_climb", climb(8, 256, 5, 1, false));
     EXPECT_EQ(no_proxy.best.datapath, sequential.best.datapath);
     EXPECT_EQ(no_proxy.best.partition.time_hybrid_ns,
               sequential.best.partition.time_hybrid_ns);

@@ -1,8 +1,8 @@
 // Tests for the lycos::solver session API: the strategy registry, the
-// shim-vs-session equivalence contract (the deprecated free functions
-// must reproduce the Session results bit for bit for any thread
-// count), shared-invariants vs per-worker-recompute equivalence, and
-// the multi_asic_bb determinism contract (best pair independent of
+// warm-vs-cold equivalence contract (a reused Session must reproduce a
+// fresh Session's results bit for bit for any thread count),
+// shared-invariants vs per-worker-recompute equivalence, and the
+// multi_asic_bb determinism contract (best pair independent of
 // chunking, equal to a brute-force pair scan).
 #include <gtest/gtest.h>
 
@@ -10,6 +10,8 @@
 #include <array>
 #include <limits>
 #include <string>
+#include <string_view>
+#include <utility>
 
 #include "apps/apps.hpp"
 #include "apps/random_app.hpp"
@@ -20,8 +22,6 @@
 #include "pace/multi_asic.hpp"
 #include "search/alloc_space.hpp"
 #include "search/eval_cache.hpp"
-#include "search/exhaustive.hpp"
-#include "search/hill_climb.hpp"
 #include "solver/solver.hpp"
 #include "util/rng.hpp"
 
@@ -191,10 +191,10 @@ TEST(Session, rescore_runs_on_warm_cache)
     EXPECT_EQ(rescored.datapath_area, uncached.datapath_area);
 }
 
-// The deprecated free functions are thin shims over a one-shot
-// Session; the acceptance contract pins them bit-identical to the
-// Session API for any thread count.
-TEST(Shims, exhaustive_search_matches_session_any_thread_count)
+// A reused Session carries a warm cache and warm DP checkpoints from
+// its earlier solves; a fresh one starts cold.  Both must land on the
+// identical best tuple for any thread count.
+TEST(Session, warm_and_cold_solves_agree_any_thread_count)
 {
     lycos::util::Rng rng(91);
     const auto lib = lh::make_default_library();
@@ -203,64 +203,30 @@ TEST(Shims, exhaustive_search_matches_session_any_thread_count)
         lh::Target target;
         lc::Rmap bounds;
         const auto p = random_problem(rng, lib, bsbs, target, bounds);
-        const lse::Eval_context ctx{bsbs, lib, target, p.ctrl_mode,
-                                    p.area_quantum};
 
-        lso::Session session(p);
+        lso::Session warm(p);
         for (int n_threads : {1, 2, 5}) {
-            const auto via_session = session.solve(
-                "exhaustive_bb", {.n_threads = n_threads});
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-            const auto via_shim = lse::exhaustive_search(
-                ctx, bounds, {.n_threads = n_threads});
-#pragma GCC diagnostic pop
-            expect_same_tuple(via_shim.best, via_session.best,
-                              "exhaustive shim");
-            EXPECT_EQ(via_shim.space_size, via_session.space_size);
-        }
-    }
-}
-
-TEST(Shims, hill_climb_search_matches_session_any_thread_count)
-{
-    lycos::util::Rng rng(92);
-    const auto lib = lh::make_default_library();
-    for (int trial = 0; trial < 4; ++trial) {
-        std::vector<lb::Bsb> bsbs;
-        lh::Target target;
-        lc::Rmap bounds;
-        const auto p = random_problem(rng, lib, bsbs, target, bounds);
-        const lse::Eval_context ctx{bsbs, lib, target, p.ctrl_mode,
-                                    p.area_quantum};
-
-        lso::Session session(p);
-        for (int n_threads : {1, 2, 5}) {
-            lso::Hill_climb_extras extras;
-            extras.n_restarts = 6;
-            extras.max_steps = 32;
-            extras.seed = 7;
-            lso::Solve_options opts;
-            opts.n_threads = n_threads;
-            opts.extras = extras;
-            const auto via_session = session.solve("hill_climb", opts);
-
-            lycos::util::Rng shim_rng(7);
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-            const auto via_shim = lse::hill_climb_search(
-                ctx, bounds,
-                {.n_restarts = 6, .max_steps = 32, .n_threads = n_threads},
-                shim_rng);
-#pragma GCC diagnostic pop
-            expect_same_tuple(via_shim.best, via_session.best,
-                              "hill climb shim");
-            // The evaluated/proxy-pruned split depends on cache
-            // warmth (the session reuses its cache across solves, the
-            // one-shot shim starts cold); the considered-neighbour
-            // total is trajectory-determined and must match.
-            EXPECT_EQ(via_shim.n_evaluated + via_shim.n_pruned,
-                      via_session.n_evaluated + via_session.n_pruned);
+            lso::Solve_options exh;
+            exh.n_threads = n_threads;
+            lso::Solve_options hill = exh;
+            hill.extras = lso::Hill_climb_extras{
+                .n_restarts = 6, .max_steps = 32, .seed = 7};
+            for (const auto& [strategy, options] :
+                 {std::pair{"exhaustive_bb", exh},
+                  std::pair{"hill_climb", hill}}) {
+                lso::Session cold(p);
+                const auto a = warm.solve(strategy, options);
+                const auto b = cold.solve(strategy, options);
+                expect_same_tuple(a.best, b.best, strategy);
+                EXPECT_EQ(a.space_size, b.space_size);
+                // Which points are scored or pruned depends on cache
+                // warmth; the considered total is search-determined
+                // for the climb (its trajectory is fixed).
+                if (std::string_view(strategy) == "hill_climb") {
+                    EXPECT_EQ(a.n_evaluated + a.n_pruned,
+                              b.n_evaluated + b.n_pruned);
+                }
+            }
         }
     }
 }
@@ -304,21 +270,6 @@ TEST(Invariants, shared_and_private_caches_agree_bitwise)
             }
         }
 
-    // Whole-search equivalence: engine with shared invariants vs the
-    // engine recomputing per worker.
-    lc::Rmap bounds;
-    bounds.set(0, 2);
-    bounds.set(1, 2);
-    bounds.set(2, 1);
-    for (int n_threads : {1, 3}) {
-        const auto plain = lse::exhaustive_engine(
-            ctx, bounds, {.n_threads = n_threads});
-        const auto inv = lse::exhaustive_engine(
-            ctx, bounds, {.n_threads = n_threads, .invariants = shared});
-        expect_same_tuple(plain.best, inv.best, "invariants");
-        EXPECT_EQ(plain.n_evaluated, inv.n_evaluated);
-        EXPECT_EQ(plain.n_pruned, inv.n_pruned);
-    }
 }
 
 // multi_asic_bb determinism + correctness: the best pair tuple is
@@ -935,26 +886,35 @@ TEST(MultiAsicBb, straight_even_split_matches_flat_reference)
     expect_same_pair(*folded, reference, "folded leases");
 }
 
-TEST(MultiAsicBb, uncached_solve_leaves_shared_cache_untouched)
+// With use_cache = false no strategy may read or grow the session
+// cache; a cached solve first gives it something to leave untouched.
+TEST(Session, uncached_solves_leave_the_session_cache_untouched)
 {
     const Straight straight;
-    lso::Session session(straight.problem({0.0, 0.0}));
-    lse::Eval_cache shared(session.context());
+    for (const auto* strategy : lso::strategies()) {
+        const std::string name(strategy->name());
+        lso::Session session(straight.problem({0.0, 0.0}));
+        lso::Solve_options o;
+        if (name == "hill_climb")
+            o.extras = lso::Hill_climb_extras{.n_restarts = 4,
+                                              .max_steps = 32};
+        if (name == "multi_asic_bb")
+            o.extras = lso::Multi_asic_extras{.pair_limit = 20000};
+        const auto cached = session.solve(name, o);
+        const auto& cache = session.cache();
+        ASSERT_GT(cache.entries(), 0u) << name;
+        EXPECT_GT(cached.cache_stats.hits + cached.cache_stats.misses, 0)
+            << name;
 
-    lso::Solve_options o;
-    o.shared_cache = &shared;
-    o.extras = lso::Multi_asic_extras{.pair_limit = 20000};
-    const auto cached = session.solve("multi_asic_bb", o);
-    ASSERT_GT(shared.entries(), 0u);
-    EXPECT_GT(cached.cache_stats.hits + cached.cache_stats.misses, 0);
-
-    const auto before = shared.stats();
-    const auto entries_before = shared.entries();
-    o.use_cache = false;
-    const auto uncached = session.solve("multi_asic_bb", o);
-    EXPECT_EQ(shared.stats().hits, before.hits);
-    EXPECT_EQ(shared.stats().misses, before.misses);
-    EXPECT_EQ(shared.stats().evictions, before.evictions);
-    EXPECT_EQ(shared.entries(), entries_before);
-    expect_same_pair(uncached, cached, "uncached vs cached");
+        const auto before = cache.stats();
+        const auto entries_before = cache.entries();
+        o.use_cache = false;
+        const auto uncached = session.solve(name, o);
+        EXPECT_EQ(cache.stats().hits, before.hits) << name;
+        EXPECT_EQ(cache.stats().misses, before.misses) << name;
+        EXPECT_EQ(cache.stats().evictions, before.evictions) << name;
+        EXPECT_EQ(cache.entries(), entries_before) << name;
+        expect_same_tuple(uncached.best, cached.best, name.c_str());
+        expect_same_pair(uncached, cached, name + ": uncached vs cached");
+    }
 }

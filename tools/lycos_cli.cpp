@@ -145,7 +145,7 @@ int main(int argc, char** argv)
     args.add_option("pair-limit", "0",
                     "multi_asic_bb: soft cap on walked two-ASIC pairs; "
                     "pairs beyond it are skipped deterministically and "
-                    "reported (0 = strategy default)");
+                    "reported (0 = whole space)");
     args.add_option("deadline-ms", "0",
                     "wall-clock budget for --search in milliseconds; on "
                     "expiry the solve stops cooperatively and reports the "
@@ -554,6 +554,11 @@ int main(int argc, char** argv)
                                                m.dp_cells_dense)
                                      : 0.0)
                           << " of the dense grids)\n";
+                std::cout << "best: "
+                          << util::fixed(m.partition.time_hybrid_ns / 1e3, 1)
+                          << " us hybrid with ASIC0 "
+                          << m.datapaths[0].to_string(lib) << ", ASIC1 "
+                          << m.datapaths[1].to_string(lib) << "\n";
             }
             else {
                 const auto best_ev = session.rescore(best.best.datapath);
