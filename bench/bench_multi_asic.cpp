@@ -139,7 +139,7 @@ int main()
             fixed(scr_ms, 2),
             fixed(dense_ms / std::max(1e-9, sparse_ms), 1) + "x",
             std::to_string(sparse.dp_states_stored) + " (" +
-                fixed(100.0 * sparse.frontier_occupancy(), 2) + "%)",
+                fixed(100.0 * sparse.state_occupancy(), 2) + "%)",
             std::to_string(dense.traceback_bytes / 1024) + "K->" +
                 std::to_string(sparse.traceback_bytes / 1024) + "K",
             match ? "yes" : "NO",

@@ -140,6 +140,7 @@ Lease_result_msg to_lease_result(const std::string& strategy,
     m.rows_pruned = r.multi.rows_pruned;
     m.dp_states_swept = r.multi.dp_states_swept;
     m.dp_cells_dense = r.multi.dp_cells_dense;
+    m.dp_states_dropped = r.multi.dp_states_dropped;
     return m;
 }
 
@@ -512,6 +513,7 @@ solver::Solve_result solve_distributed(const solver::Problem& problem,
         out.multi.rows_pruned += m.rows_pruned;
         out.multi.dp_states_swept += m.dp_states_swept;
         out.multi.dp_cells_dense += m.dp_cells_dense;
+        out.multi.dp_states_dropped += m.dp_states_dropped;
         if (m.have_best &&
             (!have_best || search::better_tuple(m.best_time, m.best_area,
                                                 best_time, best_area))) {

@@ -493,6 +493,7 @@ std::vector<std::uint8_t> encode_lease_result(const Lease_result_msg& m)
     w.i64(m.rows_pruned);
     w.i64(m.dp_states_swept);
     w.i64(m.dp_cells_dense);
+    w.i64(m.dp_states_dropped);
     w.i64(m.incumbents_applied);
     return w.take();
 }
@@ -529,6 +530,7 @@ bool decode_lease_result(const std::vector<std::uint8_t>& payload,
     out.rows_pruned = r.i64();
     out.dp_states_swept = r.i64();
     out.dp_cells_dense = r.i64();
+    out.dp_states_dropped = r.i64();
     out.incumbents_applied = r.i64();
     return r.at_end() &&
            (out.have_best ? !out.datapaths.empty()

@@ -208,6 +208,7 @@ struct Lease_result_msg {
     std::int64_t rows_pruned = 0;
     std::int64_t dp_states_swept = 0;
     std::int64_t dp_cells_dense = 0;
+    std::int64_t dp_states_dropped = 0;
     /// Cumulative on the worker: broadcasts that tightened its bound.
     std::int64_t incumbents_applied = 0;
 };

@@ -140,6 +140,7 @@ Lease_result_msg to_lease_result(std::uint64_t lease_id,
     m.rows_pruned = r.multi.rows_pruned;
     m.dp_states_swept = r.multi.dp_states_swept;
     m.dp_cells_dense = r.multi.dp_cells_dense;
+    m.dp_states_dropped = r.multi.dp_states_dropped;
     m.incumbents_applied = incumbents_applied;
     return m;
 }

@@ -16,9 +16,30 @@ namespace {
 
 constexpr double k_inf = std::numeric_limits<double>::infinity();
 
+/// What a value sweep returns when the saving floor left no state
+/// (-inf is reserved for a tripped token).
+constexpr double k_no_state = std::numeric_limits<double>::lowest();
+
+/// Relative float slack of the saving floor (see Multi_dp_sparse).
+constexpr double k_floor_slack = 1e-9;
+
 double hw_gain(double t_sw, const Bsb_cost& c)
 {
     return t_sw - c.t_hw - c.comm;
+}
+
+/// One BSB's gain on one ASIC, adjacency credited unconditionally,
+/// budgets ignored, clamped at 0 (0 when infeasible) — shared by
+/// every multi_max_gain form and the sparse sweep's saving floor, so
+/// the admissibility formula lives in exactly one place.
+double bsb_gain_term(std::size_t i, double t_sw, const Bsb_cost& h)
+{
+    if (std::isinf(h.t_hw))
+        return 0.0;
+    double gain = t_sw - h.t_hw - h.comm;
+    if (i > 0)
+        gain += std::max(0.0, h.save_prev);
+    return std::max(0.0, gain);
 }
 
 /// Shared quantization of the two-ASIC DP (the sparse DP, the
@@ -108,6 +129,7 @@ struct Best_state {
 
 struct Dp_stats {
     long long cells_swept = 0;
+    long long states_dropped = 0;  ///< by the saving floor
     bool aborted = false;  ///< sparse sweep stopped on a tripped token
 };
 
@@ -163,7 +185,8 @@ void Blocked_prefix_max::update(std::size_t pos, double v)
         blk_[b] = v;
 }
 
-void Multi_pace_state_set::prune(Multi_state_soa& states, int a1_cap)
+std::size_t Multi_pace_state_set::prune(Multi_state_soa& states, int a1_cap,
+                                        double need)
 {
     // Prefix-max over a1 in [0, a1_cap].  Processing states in
     // (a0, a1) order makes "some processed state with a1' <= a1 has
@@ -171,13 +194,21 @@ void Multi_pace_state_set::prune(Multi_state_soa& states, int a1_cap)
     // a1' <= a1 implies a0' <= a0 with unequal coordinates.  Only
     // kept states are inserted — a dropped state's dominator chain
     // always ends in a kept state that dominates it transitively — so
-    // the survivors are precisely the Pareto-maximal antichain.
+    // the survivors are precisely the Pareto-maximal antichain.  A
+    // state below the floor is dropped before it can dominate anything;
+    // every state it would have dominated is worth no more and falls
+    // to the same test.
     pmax_.begin(static_cast<std::size_t>(a1_cap) + 1);
     const std::size_t n = states.size();
     std::size_t kept = 0;
+    std::size_t dropped = 0;
     for (std::size_t r = 0; r < n; ++r) {
         const std::size_t pos = static_cast<std::size_t>(states.a1[r]);
         const double v = states.value[r];
+        if (v < need) {
+            ++dropped;
+            continue;  // cannot reach the saving floor
+        }
         if (pmax_.query(pos) >= v)
             continue;  // dominated (ties keep the smaller-area state)
         pmax_.update(pos, v);
@@ -190,6 +221,7 @@ void Multi_pace_state_set::prune(Multi_state_soa& states, int a1_cap)
         ++kept;
     }
     states.resize(kept);
+    return dropped;
 }
 
 namespace {
@@ -227,12 +259,28 @@ std::uint64_t state_key(std::size_t a0, std::size_t a1)
 /// are re-derived from the same candidates in the same first-max
 /// order, and the final scan — per-lane first maximum, lanes combined
 /// by (value desc, a0, a1, p) — lands on the dense best state.
+///
+/// The saving floor (Multi_pace_options::min_saving) keeps that when
+/// the optimum reaches it.  After row i a state of value v is dropped
+/// when v < floor - suffix[i+1] - margin, suffix[k] being the sum over
+/// BSBs k..n-1 of the larger bsb_gain_term.  The bound is admissible
+/// (no row adds more than its term, so no completion of a dropped
+/// state reaches the floor) and consistent (a successor's bound is at
+/// most its source's, so nothing below a dropped state can come back
+/// above the floor).  Every state on the dense winner path and every
+/// candidate that ties its value at a winner cell completes to the
+/// optimum, so none is dropped; states that lost their dense
+/// predecessor to the floor cannot reach it either, and the final
+/// pick ignores them.  `margin` is a relative 1e-9 of the summed
+/// magnitudes of every term a value is built from — far above the
+/// float error of the two summation orders, so rounding can never
+/// drop a state exactly at the floor.
 struct Multi_dp_sparse {
     template <bool With_trace>
     static double sweep(std::span<const Multi_bsb_cost> costs,
                         const Multi_setup& s, Multi_pace_workspace& ws,
                         Dp_stats& stats, Best_state* best_state,
-                        const util::Cancel_token* cancel);
+                        const Multi_pace_options& options);
 };
 
 template <bool With_trace>
@@ -240,8 +288,9 @@ double Multi_dp_sparse::sweep(std::span<const Multi_bsb_cost> costs,
                               const Multi_setup& s,
                               Multi_pace_workspace& ws, Dp_stats& stats,
                               Best_state* best_state,
-                              const util::Cancel_token* cancel)
+                              const Multi_pace_options& options)
 {
+    const util::Cancel_token* cancel = options.cancel;
     const std::size_t n = costs.size();
     const auto& qarea = ws.qarea_;
     const auto& possible = ws.possible_;
@@ -262,6 +311,27 @@ double Multi_dp_sparse::sweep(std::span<const Multi_bsb_cost> costs,
 
     const auto cap0 = static_cast<std::int32_t>(s.cap[0]);
     const auto cap1 = static_cast<std::int32_t>(s.cap[1]);
+
+    const double min_saving = options.min_saving;
+    const bool floored = min_saving > -k_inf;
+    double margin = 0.0;
+    if (floored) {
+        auto& suffix = ws.suffix_;
+        suffix.resize(n + 1);
+        suffix[n] = 0.0;
+        double scale = std::abs(min_saving);
+        for (std::size_t k = n; k-- > 0;) {
+            const auto& c = costs[k];
+            suffix[k] = suffix[k + 1] +
+                        std::max(bsb_gain_term(k, c.t_sw, c.hw[0]),
+                                 bsb_gain_term(k, c.t_sw, c.hw[1]));
+            for (std::size_t a = 0; a < 2; ++a)
+                if (possible[k][a] != 0)
+                    scale += std::abs(hw_gain(c.t_sw, c.hw[a])) +
+                             std::abs(c.hw[a].save_prev);
+        }
+        margin = k_floor_slack * scale;
+    }
 
     for (std::size_t i = 0; i < n; ++i) {
         // Row-stripe poll: these are the heaviest DP rows in the
@@ -289,6 +359,8 @@ double Multi_dp_sparse::sweep(std::span<const Multi_bsb_cost> costs,
             i > 0 ? gain[1] + costs[i].hw[1].save_prev : gain[1]};
         const double g1[3] = {gain[0], gain_save[0], gain[0]};
         const double g2[3] = {gain[1], gain[1], gain_save[1]};
+        const double need =
+            floored ? min_saving - (ws.suffix_[i + 1] + margin) : -k_inf;
 
         for (std::size_t l = 0; l < 3; ++l) {
             auto& out = nxt.lanes_[l];
@@ -373,7 +445,8 @@ double Multi_dp_sparse::sweep(std::span<const Multi_bsb_cost> costs,
                 skip_invalid(uk);
             }
 
-            nxt.prune(out, cap1);
+            stats.states_dropped +=
+                static_cast<long long>(nxt.prune(out, cap1, need));
 
             if constexpr (With_trace) {
                 for (std::size_t t = 0; t < out.size(); ++t) {
@@ -394,6 +467,8 @@ double Multi_dp_sparse::sweep(std::span<const Multi_bsb_cost> costs,
         }
         for (std::size_t p = 0; p < 3; ++p)
             cur.lanes_[p].swap(nxt.lanes_[p]);
+        if (cur.size() == 0)
+            return k_no_state;  // the floor dropped every state
     }
 
     // Final pick: per lane the first maximum of the (a0, a1)-sorted
@@ -480,24 +555,6 @@ Multi_pace_result evaluate_multi_partition(
     return r;
 }
 
-namespace {
-
-/// One BSB's gain on one ASIC, adjacency credited unconditionally,
-/// budgets ignored, clamped at 0 (0 when infeasible) — shared by
-/// every multi_max_gain form so the admissibility formula lives in
-/// exactly one place.
-double bsb_gain_term(std::size_t i, double t_sw, const Bsb_cost& h)
-{
-    if (std::isinf(h.t_hw))
-        return 0.0;
-    double gain = t_sw - h.t_hw - h.comm;
-    if (i > 0)
-        gain += std::max(0.0, h.save_prev);
-    return std::max(0.0, gain);
-}
-
-}  // namespace
-
 double multi_max_gain(std::span<const Multi_bsb_cost> costs)
 {
     double total = 0.0;
@@ -538,11 +595,12 @@ double multi_pace_best_saving(std::span<const Multi_bsb_cost> costs,
         return 0.0;
     Dp_stats stats;
     const double best = Multi_dp_sparse::sweep<false>(costs, s, ws, stats,
-                                                      nullptr, options.cancel);
+                                                      nullptr, options);
     ws.last_cells_swept_ = stats.cells_swept;
     ws.last_cells_dense_ = static_cast<long long>(costs.size()) *
                            static_cast<long long>(s.w0) *
                            static_cast<long long>(s.w1) * 3;
+    ws.last_states_dropped_ = stats.states_dropped;
     return best;
 }
 
@@ -562,20 +620,24 @@ Multi_pace_result multi_pace_partition(std::span<const Multi_bsb_cost> costs,
 
     Dp_stats stats;
     Best_state bs;
-    Multi_dp_sparse::sweep<true>(costs, s, ws, stats, &bs, options.cancel);
-    if (stats.aborted) {
-        // Aborted mid-sweep: the sparse traceback arena is partial,
-        // but the all-software placement is always a valid honest
-        // answer for the caller's incumbent bookkeeping.
+    const double best =
+        Multi_dp_sparse::sweep<true>(costs, s, ws, stats, &bs, options);
+    ws.last_cells_swept_ = stats.cells_swept;
+    ws.last_cells_dense_ = static_cast<long long>(n) *
+                           static_cast<long long>(s.w0) *
+                           static_cast<long long>(s.w1) * 3;
+    ws.last_states_dropped_ = stats.states_dropped;
+    if (stats.aborted || best == k_no_state) {
+        // Aborted mid-sweep, or no state reached the saving floor: the
+        // sparse traceback arena holds no path, but the all-software
+        // placement is always a valid honest answer for the caller's
+        // incumbent bookkeeping (and saves 0, below any floor that
+        // emptied the sweep: the all-software states carry value 0).
         Multi_pace_result r = evaluate_multi_partition(
             costs, std::vector<Placement>(n, Placement::software));
         r.area_quantum_used = s.quantum;
         r.dp_cells_swept = stats.cells_swept;
-        r.dp_cells_dense = static_cast<long long>(n) *
-                           static_cast<long long>(s.w0) *
-                           static_cast<long long>(s.w1) * 3;
-        ws.last_cells_swept_ = stats.cells_swept;
-        ws.last_cells_dense_ = r.dp_cells_dense;
+        r.dp_cells_dense = ws.last_cells_dense_;
         return r;
     }
 
@@ -616,9 +678,7 @@ Multi_pace_result multi_pace_partition(std::span<const Multi_bsb_cost> costs,
     Multi_pace_result r = evaluate_multi_partition(costs, placement);
     r.area_quantum_used = s.quantum;
     r.dp_cells_swept = stats.cells_swept;
-    r.dp_cells_dense = static_cast<long long>(n) *
-                       static_cast<long long>(s.w0) *
-                       static_cast<long long>(s.w1) * 3;
+    r.dp_cells_dense = ws.last_cells_dense_;
     r.dp_states_stored = static_cast<long long>(ws.tb_key_.size());
     // Keys (8 B each, the binary-searchable sparse row index) plus the
     // nibble cells — honest total for the sparse encoding.
@@ -626,8 +686,6 @@ Multi_pace_result multi_pace_partition(std::span<const Multi_bsb_cost> costs,
                         ws.tb_cell_.size();
     r.traceback_bytes_dense =
         static_cast<std::size_t>(n) * s.w0 * s.w1 * 3 * 2;
-    ws.last_cells_swept_ = stats.cells_swept;
-    ws.last_cells_dense_ = r.dp_cells_dense;
     return r;
 }
 

@@ -30,11 +30,18 @@
 // multi_pace_best_saving is the sparse value-only screening entry;
 // Multi_pace_options::optimistic_rounding flips the area rounding
 // down so the DP value upper-bounds every ceil-rounded evaluation —
-// the admissible per-a0-row bound the multi-ASIC search prunes with.
+// the admissible per-point bound the multi-ASIC search prunes with.
+// Multi_pace_options::min_saving bounds a sweep by the caller's
+// time-to-beat: after each row it drops every state that cannot reach
+// the floor even if each remaining BSB added its largest gain term
+// (multi_gain_terms).  The ladder a pair climbs in the multi-ASIC
+// search is multi_max_gain, then the floored screening sweep, then
+// the floored full partition.
 #pragma once
 
 #include <array>
 #include <cstdint>
+#include <limits>
 #include <span>
 #include <vector>
 
@@ -100,6 +107,18 @@ struct Multi_pace_options {
     /// an aborted multi_pace_partition returns the honest all-software
     /// placement.  The dense reference path ignores it.
     const util::Cancel_token* cancel = nullptr;
+
+    /// Saving floor for the sparse sweeps: the caller only needs the
+    /// answer when it saves at least this much.  After each row the
+    /// sweep drops every state whose value plus an admissible bound on
+    /// the rest of the rows (per BSB the larger of its two
+    /// multi_gain_terms) is below the floor.  The default -inf drops
+    /// nothing.  When the optimum is >= the floor, value and placement
+    /// are bit-identical to the floorless sweep; otherwise the value
+    /// is below the floor — the best surviving state's, or lowest()
+    /// when no state survives (multi_pace_partition then returns the
+    /// all-software placement).  The dense reference path ignores it.
+    double min_saving = -std::numeric_limits<double>::infinity();
 };
 
 /// Result of the two-ASIC partition.
@@ -127,7 +146,7 @@ struct Multi_pace_result {
 
     /// Fraction of the dense grid the sweep actually visited (sparse
     /// states over dense cells).
-    double frontier_occupancy() const
+    double state_occupancy() const
     {
         return dp_cells_dense > 0
                    ? static_cast<double>(dp_cells_swept) /
@@ -262,11 +281,16 @@ public:
     /// by (a0, a1) ascending with unique coordinates and a1 <= a1_cap;
     /// on return it holds exactly the states no other state dominates
     /// (<= area on both axes, unequal coordinates, >= value) — the
-    /// Pareto-maximal antichain, order preserved.  Completeness is
-    /// what makes the sparse DP traceback-identical to the dense
-    /// reference: every surviving state provably carries the dense
-    /// value of its cell.
-    void prune(Multi_state_soa& states, int a1_cap);
+    /// Pareto-maximal antichain, order preserved — whose value is at
+    /// least `need`.  Completeness is what makes the sparse DP
+    /// traceback-identical to the dense reference: every surviving
+    /// state provably carries the dense value of its cell.  The floor
+    /// keeps that: a state's dominators are worth at least as much, so
+    /// a state that clears `need` is dominated within the filtered set
+    /// exactly when it is dominated within the whole one.  Returns the
+    /// number of states the floor dropped.
+    std::size_t prune(Multi_state_soa& states, int a1_cap,
+                      double need = -std::numeric_limits<double>::infinity());
 
 private:
     friend struct Multi_dp_sparse;
@@ -290,7 +314,9 @@ Multi_pace_result multi_pace_partition(
 /// fraction of the full partition.  Equals all-SW time minus
 /// multi_pace_partition(...).time_hybrid_ns up to float summation
 /// order.  With options.optimistic_rounding this is the admissible
-/// upper bound the multi-ASIC search's per-a0-row prune uses.
+/// upper bound the multi-ASIC search's per-point prune uses.  Returns
+/// -inf when the token tripped mid-sweep, and lowest() (finite) when
+/// options.min_saving dropped every state.
 double multi_pace_best_saving(std::span<const Multi_bsb_cost> costs,
                               const Multi_pace_options& options,
                               Multi_pace_workspace* workspace = nullptr);
@@ -354,6 +380,9 @@ public:
     /// a double.
     long long last_cells_swept() const { return last_cells_swept_; }
     long long last_cells_dense() const { return last_cells_dense_; }
+    /// States the saving floor (Multi_pace_options::min_saving)
+    /// dropped in the most recent sweep.
+    long long last_states_dropped() const { return last_states_dropped_; }
 
 private:
     friend struct Multi_dp_sparse;  ///< Pareto-sparse sweep (multi_asic.cpp)
@@ -366,6 +395,9 @@ private:
     // --- shared quantization scratch --------------------------------
     std::vector<std::array<int, 2>> qarea_;
     std::vector<std::array<std::uint8_t, 2>> possible_;
+    /// suffix_[k]: the saving rows k..n-1 can add at most (the floor's
+    /// bound), sized n + 1; filled only when a floor is set.
+    std::vector<double> suffix_;
     // --- sparse sweep arenas ----------------------------------------
     Multi_pace_state_set cur_;
     Multi_pace_state_set nxt_;
@@ -386,6 +418,7 @@ private:
     std::array<util::Arena_vector<double>, 3> mval_;
     long long last_cells_swept_ = 0;
     long long last_cells_dense_ = 0;
+    long long last_states_dropped_ = 0;
 };
 
 /// The pre-overhaul dense DP (full w0 x w1 x 3 scan per row, two

@@ -209,7 +209,7 @@ Search_bench_result run_search_bench(const Search_bench_config& config)
         out.multi_speedup = speedup_of(out.multi_secs_sparse);
         out.multi_evals_per_sec =
             out.multi_secs_sparse > 0.0 ? 1.0 / out.multi_secs_sparse : 0.0;
-        out.multi_sparse_occupancy = sparse.frontier_occupancy();
+        out.multi_sparse_occupancy = sparse.state_occupancy();
         out.multi_sparse_states = sparse.dp_states_stored;
         out.multi_area_quantum = sparse.area_quantum_used;
         out.multi_traceback_bytes = sparse.traceback_bytes;

@@ -24,7 +24,12 @@
 //   * surviving rows run the per-pair ladder: the separable bound
 //     S_0(i) + S_1(j), multi_max_gain over the precomputed per-point
 //     gain terms, then the sparse screening DP, then the full sparse
-//     partition with traceback,
+//     partition with traceback.  Both DPs take a saving floor from
+//     the pair's local time-to-beat (Multi_pace_options::min_saving):
+//     a state that cannot save enough to beat it, even if every
+//     remaining BSB added its largest gain term, is dropped mid-sweep.
+//     A pair that can beat it gets its exact value and placement; one
+//     that cannot screens below the floor and is killed as before,
 //   * at an even split (x, y) and (y, x) are the same design on
 //     swapped labels, with bit-identical DP results: the pruned walk
 //     scores only the j >= i half and counts the mirror pairs as
@@ -133,6 +138,7 @@ struct alignas(64) Pair_worker {
     long long rows_pruned = 0;
     long long dp_states_swept = 0;
     long long dp_cells_dense = 0;
+    long long dp_states_dropped = 0;
     long long rows_abandoned = 0;
     bool stopped = false;
 };
@@ -582,6 +588,14 @@ Solve_result solve_multi_asic_bb(Session& session,
                                         budgets[1] - p1.area};
                 mo.area_quantum = ctx.area_quantum;
                 mo.cancel = options.cancel;
+                // The saving floor: a pair saving less than this screens
+                // above threshold + slack, a kill either way.  It follows
+                // the local time-to-beat, not the external one, so a
+                // screen's time — and with it the remote-kill credit —
+                // is exact wherever the local threshold alone would not
+                // kill the pair.
+                if (options.use_pruning && std::isfinite(local_thr))
+                    mo.min_saving = all_sw - local_thr - 2.0 * slack;
 
                 if (options.use_pruning) {
                     // Screening pass: the sparse DP's optimal value
@@ -592,8 +606,11 @@ Solve_result solve_multi_asic_bb(Session& session,
                         pace::multi_pace_best_saving(mcosts, mo, &mws);
                     w.dp_states_swept += mws.last_cells_swept();
                     w.dp_cells_dense += mws.last_cells_dense();
+                    w.dp_states_dropped += mws.last_states_dropped();
                     // -inf: the token tripped mid-sweep.  The pair was
-                    // not scored; the row is abandoned.
+                    // not scored; the row is abandoned.  (A sweep the
+                    // floor emptied returns a finite lowest(): a scored
+                    // pair, killed below.)
                     if (saving == -std::numeric_limits<double>::infinity()) {
                         ++w.rows_abandoned;
                         w.stopped = true;
@@ -614,6 +631,7 @@ Solve_result solve_multi_asic_bb(Session& session,
                     pace::multi_pace_partition(mcosts, mo, &mws);
                 w.dp_states_swept += mws.last_cells_swept();
                 w.dp_cells_dense += mws.last_cells_dense();
+                w.dp_states_dropped += mws.last_states_dropped();
                 ++w.n_evaluated;
                 if (options.cancel != nullptr)
                     options.cancel->charge_evals(1);
@@ -664,6 +682,7 @@ Solve_result solve_multi_asic_bb(Session& session,
         out.multi.rows_pruned += w.rows_pruned;
         out.multi.dp_states_swept += w.dp_states_swept;
         out.multi.dp_cells_dense += w.dp_cells_dense;
+        out.multi.dp_states_dropped += w.dp_states_dropped;
         if (!w.have_best)
             continue;
         if (best == nullptr ||

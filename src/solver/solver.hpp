@@ -243,6 +243,9 @@ struct Multi_solve_result {
     /// sparse occupancy).
     long long dp_states_swept = 0;
     long long dp_cells_dense = 0;
+    /// States the pair DPs' saving floor dropped mid-sweep
+    /// (pace::Multi_pace_workspace::last_states_dropped, summed).
+    long long dp_states_dropped = 0;
 };
 
 /// Per-worker stats of a distributed solve (Dist_solve_result), in

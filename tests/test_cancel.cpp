@@ -467,6 +467,36 @@ TEST(AnytimeSolve, multi_asic_aborted_screen_is_not_a_scored_pair)
     }
 }
 
+// The saving floor's other exit: a screen whose sweep the floor
+// empties returns a finite lowest(), not the tripped-token -inf, so
+// the pair was scored and killed — it counts as evaluated and abandons
+// nothing.  Under an untripped token every pair is accounted for, the
+// status stays complete, and the incumbent is the unpruned walk's.
+TEST(AnytimeSolve, multi_asic_floor_emptied_screen_is_a_scored_pair)
+{
+    const auto lib = small_library();
+    const auto bsbs = small_app();
+    lso::Session session(small_problem(lib, bsbs));
+    lso::Solve_options flat;
+    flat.use_pruning = false;
+    const auto reference = session.solve("multi_asic_bb", flat);
+    EXPECT_EQ(reference.multi.dp_states_dropped, 0);
+
+    for (const int n_threads : {1, 2, 4}) {
+        lu::Cancel_token token;
+        lso::Solve_options options;
+        options.n_threads = n_threads;
+        const auto r = session.solve("multi_asic_bb", options, token);
+        EXPECT_EQ(r.status, lu::Solve_status::complete) << n_threads;
+        EXPECT_EQ(r.rows_abandoned, 0) << n_threads;
+        EXPECT_EQ(r.chunks_abandoned, 0) << n_threads;
+        EXPECT_EQ(r.n_evaluated + r.n_pruned, r.space_size) << n_threads;
+        EXPECT_GT(r.multi.dp_states_dropped, 0) << n_threads;
+        EXPECT_EQ(fingerprint(r, lib), fingerprint(reference, lib))
+            << n_threads;
+    }
+}
+
 TEST(AnytimeSolve, eval_budget_reports_budget_status)
 {
     const auto lib = small_library();

@@ -258,6 +258,7 @@ TEST(Wire, small_messages_round_trip_and_reencode_canonically)
                                                        : 0);
             m.rows_visited = rng.uniform_int(0, 1 << 10);
             m.incumbents_applied = rng.uniform_int(0, 64);
+            m.dp_states_dropped = rng.uniform_int(0, 1 << 20);
             const auto p = ld::encode_lease_result(m);
             ld::Lease_result_msg d;
             ASSERT_TRUE(ld::decode_lease_result(p, d));
@@ -269,6 +270,7 @@ TEST(Wire, small_messages_round_trip_and_reencode_canonically)
             EXPECT_EQ(d.n_evaluated, m.n_evaluated);
             EXPECT_EQ(d.n_pruned_remote, m.n_pruned_remote);
             EXPECT_EQ(d.incumbents_applied, m.incumbents_applied);
+            EXPECT_EQ(d.dp_states_dropped, m.dp_states_dropped);
             EXPECT_EQ(ld::encode_lease_result(d), p);
         }
     }

@@ -175,40 +175,57 @@ TEST(MultiPace, evaluate_round_trip_and_size_mismatch)
 // infeasible entries), random budgets, explicit and auto quanta, and a
 // workspace reused over differently-sized problems.  Values, tracebacks and
 // area_quantum_used must all agree bit for bit.
-TEST(MultiPace, sparse_matches_dense_randomized)
+namespace {
+
+/// One random two-ASIC case of the sparse-vs-dense trials: 1-10 BSBs
+/// with random costs (including infeasible entries and duplicated
+/// BSBs), random budgets, and an auto quantum every third trial.
+struct Multi_case {
+    std::vector<lp::Multi_bsb_cost> costs;
+    lp::Multi_pace_options opts;
+};
+
+Multi_case random_multi_case(lycos::util::Rng& rng, int trial)
 {
     constexpr double inf = std::numeric_limits<double>::infinity();
+    Multi_case out;
+    auto& costs = out.costs;
+    const int n = rng.uniform_int(1, 10);
+    for (int i = 0; i < n; ++i) {
+        auto c = make_cost(
+            rng.uniform_real(100.0, 4000.0), rng.uniform_real(50.0, 2500.0),
+            rng.uniform_real(50.0, 2500.0), rng.uniform_int(1, 40),
+            rng.uniform_int(1, 40), i > 0 ? rng.uniform_real(0.0, 50.0) : 0.0,
+            i > 0 ? rng.uniform_real(0.0, 50.0) : 0.0);
+        if (rng.uniform_int(0, 9) == 0) {
+            const std::size_t a =
+                static_cast<std::size_t>(rng.uniform_int(0, 1));
+            c.hw[a].t_hw = inf;
+            c.hw[a].ctrl_area = inf;
+        }
+        // Duplicated controller areas and times provoke the value
+        // ties / colinear states dominance must break exactly the
+        // way the dense improving-write order does.
+        if (i > 0 && rng.uniform_int(0, 3) == 0)
+            c = costs.back();
+        costs.push_back(c);
+    }
+    out.opts = {.ctrl_area_budgets = {static_cast<double>(
+                                          rng.uniform_int(10, 90)),
+                                      static_cast<double>(
+                                          rng.uniform_int(10, 90))},
+                .area_quantum = trial % 3 == 0 ? 0.0 : 1.0};
+    return out;
+}
+
+}  // namespace
+
+TEST(MultiPace, sparse_matches_dense_randomized)
+{
     lycos::util::Rng rng(47);
     lp::Multi_pace_workspace ws;
     for (int trial = 0; trial < 60; ++trial) {
-        const int n = rng.uniform_int(1, 10);
-        std::vector<lp::Multi_bsb_cost> costs;
-        for (int i = 0; i < n; ++i) {
-            auto c = make_cost(
-                rng.uniform_real(100.0, 4000.0),
-                rng.uniform_real(50.0, 2500.0),
-                rng.uniform_real(50.0, 2500.0), rng.uniform_int(1, 40),
-                rng.uniform_int(1, 40),
-                i > 0 ? rng.uniform_real(0.0, 50.0) : 0.0,
-                i > 0 ? rng.uniform_real(0.0, 50.0) : 0.0);
-            if (rng.uniform_int(0, 9) == 0) {
-                const std::size_t a =
-                    static_cast<std::size_t>(rng.uniform_int(0, 1));
-                c.hw[a].t_hw = inf;
-                c.hw[a].ctrl_area = inf;
-            }
-            // Duplicated controller areas and times provoke the value
-            // ties / colinear states dominance must break exactly the
-            // way the dense improving-write order does.
-            if (i > 0 && rng.uniform_int(0, 3) == 0)
-                c = costs.back();
-            costs.push_back(c);
-        }
-        const lp::Multi_pace_options opts{
-            .ctrl_area_budgets =
-                {static_cast<double>(rng.uniform_int(10, 90)),
-                 static_cast<double>(rng.uniform_int(10, 90))},
-            .area_quantum = trial % 3 == 0 ? 0.0 : 1.0};
+        const auto [costs, opts] = random_multi_case(rng, trial);
 
         const auto sparse = lp::multi_pace_partition(costs, opts, &ws);
         const auto dense = lp::multi_pace_partition_reference(costs, opts);
@@ -241,6 +258,74 @@ TEST(MultiPace, sparse_matches_dense_randomized)
     }
 }
 
+// The saving floor: over the same 60 trials, a floor at or below the
+// optimum changes nothing — value and placement bit-identical to the
+// floorless sweep and to the dense reference, one ulp either side of
+// the optimum included — and a floor above it yields a value below
+// the floor that is not the tripped-token -inf.  A floor no state can
+// reach empties the sweep: lowest() and the all-software placement.
+TEST(MultiPace, saving_floor_matches_untargeted_randomized)
+{
+    constexpr double inf = std::numeric_limits<double>::infinity();
+    lycos::util::Rng rng(47);
+    lp::Multi_pace_workspace ws;
+    for (int trial = 0; trial < 60; ++trial) {
+        const auto [costs, opts] = random_multi_case(rng, trial);
+        const double opt = lp::multi_pace_best_saving(costs, opts, &ws);
+        EXPECT_EQ(ws.last_states_dropped(), 0) << "trial " << trial;
+        const auto plain = lp::multi_pace_partition(costs, opts, &ws);
+        const auto dense = lp::multi_pace_partition_reference(costs, opts);
+        ASSERT_EQ(plain.placement, dense.placement) << "trial " << trial;
+
+        const double delta = 1.0;
+        for (const double min_saving :
+             {opt - delta, std::nextafter(opt, -inf), opt,
+              std::nextafter(opt, inf), opt + delta, -inf}) {
+            lp::Multi_pace_options floored = opts;
+            floored.min_saving = min_saving;
+            const double value =
+                lp::multi_pace_best_saving(costs, floored, &ws);
+            const auto part = lp::multi_pace_partition(costs, floored, &ws);
+            if (opt >= min_saving) {
+                EXPECT_EQ(value, opt) << "trial " << trial;
+                EXPECT_EQ(part.placement, plain.placement)
+                    << "trial " << trial;
+                EXPECT_EQ(part.placement, dense.placement)
+                    << "trial " << trial;
+                EXPECT_EQ(part.time_hybrid_ns, plain.time_hybrid_ns);
+                EXPECT_EQ(part.area_quantum_used, plain.area_quantum_used);
+            }
+            else {
+                EXPECT_LT(value, min_saving) << "trial " << trial;
+                EXPECT_NE(value, -inf) << "trial " << trial;
+                // Whatever survives is a real placement: within the
+                // budgets and no better than the optimum.
+                EXPECT_GE(part.time_hybrid_ns + 1e-6, plain.time_hybrid_ns)
+                    << "trial " << trial;
+                EXPECT_LE(part.ctrl_area_used[0],
+                          opts.ctrl_area_budgets[0] + 1e-9);
+                EXPECT_LE(part.ctrl_area_used[1],
+                          opts.ctrl_area_budgets[1] + 1e-9);
+            }
+            if (min_saving >= opt + delta)
+                EXPECT_GT(ws.last_states_dropped(), 0) << "trial " << trial;
+        }
+
+        // Above every completion's bound: the first row empties the
+        // sweep.
+        lp::Multi_pace_options beyond = opts;
+        beyond.min_saving = lp::multi_max_gain(costs) + 1e3;
+        EXPECT_EQ(lp::multi_pace_best_saving(costs, beyond, &ws),
+                  std::numeric_limits<double>::lowest())
+            << "trial " << trial;
+        EXPECT_GT(ws.last_states_dropped(), 0);
+        const auto none = lp::multi_pace_partition(costs, beyond, &ws);
+        EXPECT_EQ(none.placement,
+                  std::vector<Placement>(costs.size(), Placement::software));
+        EXPECT_EQ(none.time_hybrid_ns, none.time_all_sw_ns);
+    }
+}
+
 // ------------------------------------------------------------------
 // Dominance pruning (Multi_pace_state_set::prune)
 // ------------------------------------------------------------------
@@ -250,14 +335,18 @@ namespace {
 /// AoS convenience shim over the SoA prune: tests state their cases
 /// as Multi_state lists, prune runs on the production Multi_state_soa
 /// layout.
-std::vector<lp::Multi_state> pruned(const std::vector<lp::Multi_state>& states,
-                                    int a1_cap)
+std::vector<lp::Multi_state> pruned(
+    const std::vector<lp::Multi_state>& states, int a1_cap,
+    double need = -std::numeric_limits<double>::infinity(),
+    std::size_t* dropped = nullptr)
 {
     lp::Multi_state_soa soa;
     for (const auto& s : states)
         soa.push_back(s.a0, s.a1, s.value, s.parent);
     lp::Multi_pace_state_set set;
-    set.prune(soa, a1_cap);
+    const std::size_t n_dropped = set.prune(soa, a1_cap, need);
+    if (dropped != nullptr)
+        *dropped = n_dropped;
     std::vector<lp::Multi_state> out;
     for (std::size_t i = 0; i < soa.size(); ++i)
         out.push_back(soa[i]);
@@ -357,7 +446,9 @@ TEST(MultiStateSet, colinear_staircase_survives_whole)
 TEST(MultiStateSet, prune_is_complete_against_quadratic_reference)
 {
     // Randomized completeness: the kept set must be exactly the
-    // states no other state dominates, per the O(n^2) definition.
+    // states no other state dominates, per the O(n^2) definition,
+    // filtered by the floor `need` (-inf keeps every one).
+    constexpr double inf = std::numeric_limits<double>::infinity();
     lycos::util::Rng rng(99);
     for (int trial = 0; trial < 50; ++trial) {
         const int cap = 12;
@@ -368,7 +459,7 @@ TEST(MultiStateSet, prune_is_complete_against_quadratic_reference)
                     states.push_back(
                         {a0, a1,
                          static_cast<double>(rng.uniform_int(0, 6)), 0});
-        std::vector<lp::Multi_state> expect;
+        std::vector<lp::Multi_state> undominated;
         for (const auto& s : states) {
             bool dominated = false;
             for (const auto& t : states)
@@ -376,14 +467,26 @@ TEST(MultiStateSet, prune_is_complete_against_quadratic_reference)
                     t.a1 <= s.a1 && t.value >= s.value)
                     dominated = true;
             if (!dominated)
-                expect.push_back(s);
+                undominated.push_back(s);
         }
-        const auto kept = pruned(states, cap);
-        ASSERT_EQ(kept.size(), expect.size()) << "trial " << trial;
-        for (std::size_t i = 0; i < kept.size(); ++i) {
-            EXPECT_EQ(kept[i].a0, expect[i].a0);
-            EXPECT_EQ(kept[i].a1, expect[i].a1);
-            EXPECT_EQ(kept[i].value, expect[i].value);
+        for (const double need : {-inf, 0.0, 2.5, 3.0, 6.0, 7.0}) {
+            std::vector<lp::Multi_state> expect;
+            for (const auto& s : undominated)
+                if (s.value >= need)
+                    expect.push_back(s);
+            std::size_t below = 0;
+            for (const auto& s : states)
+                below += s.value < need ? 1 : 0;
+            std::size_t dropped = 0;
+            const auto kept = pruned(states, cap, need, &dropped);
+            EXPECT_EQ(dropped, below) << "trial " << trial;
+            ASSERT_EQ(kept.size(), expect.size())
+                << "trial " << trial << " need " << need;
+            for (std::size_t i = 0; i < kept.size(); ++i) {
+                EXPECT_EQ(kept[i].a0, expect[i].a0);
+                EXPECT_EQ(kept[i].a1, expect[i].a1);
+                EXPECT_EQ(kept[i].value, expect[i].value);
+            }
         }
     }
 }

@@ -553,7 +553,9 @@ int main(int argc, char** argv)
                                            static_cast<double>(
                                                m.dp_cells_dense)
                                      : 0.0)
-                          << " of the dense grids)\n";
+                          << " of the dense grids), "
+                          << util::with_commas(m.dp_states_dropped)
+                          << " dropped by the saving floor\n";
                 std::cout << "best: "
                           << util::fixed(m.partition.time_hybrid_ns / 1e3, 1)
                           << " us hybrid with ASIC0 "
