@@ -2,9 +2,9 @@
 // (util/simd.hpp): times each kernel individually at several widths
 // and prints min-of-N nanoseconds per element plus the speedup ratio.
 // This is the developer-facing drill-down behind the two aggregate
-// "kernels" gates in BENCH_search.json (which time the composite
-// sweep/merge passes); run it after touching a kernel to see which
-// one moved.
+// kernels.{pace,merge}_ok rows of bench_gates (which time the
+// composite sweep/merge passes); run it after touching a kernel to see
+// which one moved.
 //
 // Plain main (no google-benchmark dependency): each measurement is
 // the minimum over `k_reps` timed batches of `k_inner` calls through

@@ -10,7 +10,8 @@
 // whose controllers were the bottleneck.
 //
 // A second table compares the production Pareto-sparse two-ASIC DP
-// against the dense full-scan reference at identical quantization:
+// against the dense full-scan test oracle (tests/support/) at
+// identical quantization:
 // per-partition times, the sparse value-only screening time, stored
 // state counts vs. the dense grid, and traceback bytes.  The driver
 // asserts that both implementations return the identical placement.
@@ -21,6 +22,7 @@
 #include "common.hpp"
 #include "core/multi_allocator.hpp"
 #include "pace/multi_asic.hpp"
+#include "support/multi_pace_reference.hpp"
 #include "util/format.hpp"
 #include "util/table.hpp"
 #include "util/timer.hpp"

@@ -3,29 +3,24 @@
 //     (L = number of BSBs, k = max operations per BSB),
 //   * the allocation loop itself,
 //   * the PACE dynamic program vs the exponential brute force,
-//   * old vs new allocation evaluation (naive vs event-driven list
-//     scheduler, uncached vs memoized evaluation).
-//
-// After the microbenchmarks of a full (unfiltered) run, the
-// old-vs-new search comparison is measured end to end and written to
-// BENCH_search.json (path overridable via the LYCOS_BENCH_JSON
-// environment variable) so the speedup is tracked across PRs; runs
-// with --benchmark_filter or --benchmark_list_tests skip it.
+//   * old vs new allocation evaluation (the naive test-oracle list
+//     scheduler vs the event-driven one, uncached vs memoized
+//     evaluation).
+// The oracle cases (brute force, dense two-ASIC DP, naive scheduler)
+// come from the lycos_oracles library (tests/support/).
 #include <benchmark/benchmark.h>
-
-#include <cstdlib>
-#include <iostream>
-#include <string_view>
 
 #include "apps/random_app.hpp"
 #include "core/allocator.hpp"
 #include "hw/target.hpp"
-#include "pace/brute_force.hpp"
 #include "pace/cost_model.hpp"
 #include "pace/multi_asic.hpp"
 #include "pace/pace.hpp"
 #include "search/eval_cache.hpp"
-#include "search/search_bench.hpp"
+#include "sched/list_scheduler.hpp"
+#include "support/brute_force.hpp"
+#include "support/list_schedule_naive.hpp"
+#include "support/multi_pace_reference.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -261,7 +256,8 @@ void bm_cost_model(benchmark::State& state)
 BENCHMARK(bm_cost_model)->RangeMultiplier(2)->Range(8, 64);
 
 // --- old vs new: list scheduler implementations ----------------------
-void bm_list_schedule(benchmark::State& state, sched::Scheduler_kind kind)
+template <typename Scheduler>
+void bm_list_schedule(benchmark::State& state, Scheduler schedule)
 {
     const auto lib = hw::make_default_library();
     util::Rng rng(42);
@@ -270,18 +266,21 @@ void bm_list_schedule(benchmark::State& state, sched::Scheduler_kind kind)
         apps::random_dfg(rng, static_cast<int>(state.range(0)), p);
     const std::vector<int> counts(lib.size(), 1);  // scarce: stretched
     for (auto _ : state) {
-        auto s = sched::list_schedule(g, lib, counts, kind);
+        auto s = schedule(g, lib, counts);
         benchmark::DoNotOptimize(s);
     }
     state.SetComplexityN(state.range(0));
 }
 void bm_list_schedule_naive(benchmark::State& state)
 {
-    bm_list_schedule(state, sched::Scheduler_kind::naive);
+    bm_list_schedule(state, &sched::list_schedule_naive);
 }
 void bm_list_schedule_event(benchmark::State& state)
 {
-    bm_list_schedule(state, sched::Scheduler_kind::event_driven);
+    bm_list_schedule(state, [](const dfg::Dfg& g, const hw::Hw_library& lib,
+                               std::span<const int> counts) {
+        return sched::list_schedule(g, lib, counts);
+    });
 }
 BENCHMARK(bm_list_schedule_naive)->RangeMultiplier(2)->Range(16, 256);
 BENCHMARK(bm_list_schedule_event)->RangeMultiplier(2)->Range(16, 256);
@@ -324,35 +323,4 @@ BENCHMARK(bm_evaluate_cached)->RangeMultiplier(2)->Range(8, 64);
 
 }  // namespace
 
-int main(int argc, char** argv)
-{
-    // Iterating, introspecting, or machine-reading (--benchmark_filter,
-    // --benchmark_list_tests, --benchmark_format/--benchmark_out) should
-    // not pay for the multi-second search comparison, clobber
-    // BENCH_search.json, corrupt JSON on stdout with the plain-text
-    // summary, or have the exit code overridden — the report belongs to
-    // plain full runs and to lycos_cli.
-    bool skip_search_bench = false;
-    for (int i = 1; i < argc; ++i) {
-        const std::string_view arg(argv[i]);
-        if (arg.starts_with("--benchmark_filter") ||
-            arg.starts_with("--benchmark_list_tests") ||
-            arg.starts_with("--benchmark_format") ||
-            arg.starts_with("--benchmark_out"))
-            skip_search_bench = true;
-    }
-
-    ::benchmark::Initialize(&argc, argv);
-    if (::benchmark::ReportUnrecognizedArguments(argc, argv))
-        return 1;
-    ::benchmark::RunSpecifiedBenchmarks();
-    ::benchmark::Shutdown();
-    if (skip_search_bench)
-        return 0;
-
-    // End-to-end old-vs-new search comparison, tracked across PRs.
-    const char* path = std::getenv("LYCOS_BENCH_JSON");
-    const std::string json_path = path != nullptr ? path : "BENCH_search.json";
-    return lycos::search::write_bench_report(json_path, std::cout,
-                                             std::cerr);
-}
+BENCHMARK_MAIN();

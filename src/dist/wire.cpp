@@ -268,7 +268,6 @@ void put_problem(Wire_writer& w, const Problem_blob& b)
     // Restrictions + knobs.
     put_rmap(w, b.restrictions);
     w.u8(b.ctrl_mode);
-    w.u8(b.scheduler);
     w.f64(b.area_quantum);
     w.f64(b.dp_table_budget);
     w.f64(b.asic_areas[0]);
@@ -326,8 +325,7 @@ bool get_problem(Wire_reader& r, Problem_blob& b)
                       b.restrictions))
             return false;
         b.ctrl_mode = r.u8();
-        b.scheduler = r.u8();
-        if (b.ctrl_mode > 1 || b.scheduler > 1) {
+        if (b.ctrl_mode > 1) {
             r.fail();
             return false;
         }
@@ -379,7 +377,6 @@ Problem_blob Problem_blob::from_problem(const solver::Problem& p)
     b.target = p.target;
     b.restrictions = p.restrictions;
     b.ctrl_mode = static_cast<std::uint8_t>(p.ctrl_mode);
-    b.scheduler = static_cast<std::uint8_t>(p.scheduler);
     b.area_quantum = p.area_quantum;
     b.dp_table_budget = p.dp_table_budget;
     b.asic_areas = p.asic_areas;
@@ -396,7 +393,6 @@ solver::Problem Problem_blob::problem() const
     p.target = target;
     p.restrictions = restrictions;
     p.ctrl_mode = static_cast<pace::Controller_mode>(ctrl_mode);
-    p.scheduler = static_cast<sched::Scheduler_kind>(scheduler);
     p.area_quantum = area_quantum;
     p.dp_table_budget = dp_table_budget;
     p.asic_areas = asic_areas;

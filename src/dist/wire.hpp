@@ -51,7 +51,9 @@ inline constexpr std::uint32_t k_magic = 0x3144594Cu;
 /// length prefix runs into.
 inline constexpr std::uint32_t k_max_payload = 1u << 26;
 
-inline constexpr std::uint32_t k_protocol_version = 1;
+/// Sent in hello; the coordinator drops a worker whose version
+/// differs.  Bumped whenever a message layout changes.
+inline constexpr std::uint32_t k_protocol_version = 2;
 
 enum class Msg : std::uint8_t {
     hello = 1,
@@ -148,7 +150,6 @@ struct Problem_blob {
     hw::Target target;
     core::Rmap restrictions;
     std::uint8_t ctrl_mode = 0;
-    std::uint8_t scheduler = 0;
     double area_quantum = 0.0;
     double dp_table_budget = 0.0;
     std::array<double, 2> asic_areas{0.0, 0.0};

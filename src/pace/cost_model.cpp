@@ -28,7 +28,6 @@ Bsb_cost bsb_cost_one(std::span<const bsb::Bsb> bsbs, std::size_t index,
                       std::span<const int> counts,
                       const sched::Latency_table& lat, Controller_mode mode,
                       const estimate::Storage_model* storage,
-                      sched::Scheduler_kind scheduler,
                       const sched::Schedule_info* frames,
                       const Bsb_cost* invariants,
                       sched::Schedule_workspace* sched_ws)
@@ -39,9 +38,7 @@ Bsb_cost bsb_cost_one(std::span<const bsb::Bsb> bsbs, std::size_t index,
                      ? *invariants
                      : bsb_cost_invariants(bsbs, index, target);
 
-    const bool use_frames =
-        frames != nullptr &&
-        scheduler == sched::Scheduler_kind::event_driven && !b.graph.empty();
+    const bool use_frames = frames != nullptr && !b.graph.empty();
     // The workspace overload returns a reference into sched_ws; keep a
     // value only on the allocating paths.
     sched::List_schedule sched_local;
@@ -54,7 +51,7 @@ Bsb_cost bsb_cost_one(std::span<const bsb::Bsb> bsbs, std::size_t index,
         sched_local =
             use_frames
                 ? sched::list_schedule(b.graph, lib, counts, *frames)
-                : sched::list_schedule(b.graph, lib, counts, scheduler);
+                : sched::list_schedule(b.graph, lib, counts);
         sched_p = &sched_local;
     }
     const sched::List_schedule& sched = *sched_p;
@@ -85,7 +82,7 @@ Bsb_cost bsb_cost_one(std::span<const bsb::Bsb> bsbs, std::size_t index,
 std::vector<Bsb_cost> build_cost_model(
     std::span<const bsb::Bsb> bsbs, const hw::Hw_library& lib,
     const hw::Target& target, const core::Rmap& alloc, Controller_mode mode,
-    const estimate::Storage_model* storage, sched::Scheduler_kind scheduler)
+    const estimate::Storage_model* storage)
 {
     const auto counts = alloc.dense_counts(lib);
     const auto lat = sched::latency_table_from(lib);
@@ -93,8 +90,8 @@ std::vector<Bsb_cost> build_cost_model(
     std::vector<Bsb_cost> out;
     out.reserve(bsbs.size());
     for (std::size_t i = 0; i < bsbs.size(); ++i)
-        out.push_back(bsb_cost_one(bsbs, i, lib, target, counts, lat, mode,
-                                   storage, scheduler));
+        out.push_back(
+            bsb_cost_one(bsbs, i, lib, target, counts, lat, mode, storage));
     return out;
 }
 

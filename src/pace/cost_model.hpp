@@ -49,18 +49,15 @@ struct Bsb_cost {
 /// library's cheapest-executor latency table, hoisted out because it
 /// is allocation-independent.  `frames`, when non-null, must be
 /// compute_time_frames(graph, lat) for this BSB — the Eval_cache
-/// hoists it too, so cache misses skip the ALAP recomputation (only
-/// honoured on the event-driven path).  This is the unit of work the
-/// search's Eval_cache memoizes: the result depends only on the
-/// counts of resource types whose op set intersects the BSB's
-/// operations.
+/// hoists it too, so cache misses skip the ALAP recomputation.  This
+/// is the unit of work the search's Eval_cache memoizes: the result
+/// depends only on the counts of resource types whose op set
+/// intersects the BSB's operations.
 Bsb_cost bsb_cost_one(std::span<const bsb::Bsb> bsbs, std::size_t index,
                       const hw::Hw_library& lib, const hw::Target& target,
                       std::span<const int> counts,
                       const sched::Latency_table& lat, Controller_mode mode,
                       const estimate::Storage_model* storage = nullptr,
-                      sched::Scheduler_kind scheduler =
-                          sched::Scheduler_kind::event_driven,
                       const sched::Schedule_info* frames = nullptr,
                       const Bsb_cost* invariants = nullptr,
                       sched::Schedule_workspace* sched_ws = nullptr);
@@ -79,14 +76,11 @@ Bsb_cost bsb_cost_invariants(std::span<const bsb::Bsb> bsbs,
 /// Build the cost vector for `bsbs` under data-path `alloc`.  When
 /// `storage` is non-null, each hardware BSB is additionally charged
 /// its estimated register and multiplexer area (§6 future work; the
-/// paper's base flow ignores both).  `scheduler` selects the list-
-/// scheduler implementation (the naive one exists for the old-vs-new
-/// benches and equivalence tests).
+/// paper's base flow ignores both).
 std::vector<Bsb_cost> build_cost_model(
     std::span<const bsb::Bsb> bsbs, const hw::Hw_library& lib,
     const hw::Target& target, const core::Rmap& alloc, Controller_mode mode,
-    const estimate::Storage_model* storage = nullptr,
-    sched::Scheduler_kind scheduler = sched::Scheduler_kind::event_driven);
+    const estimate::Storage_model* storage = nullptr);
 
 /// Total all-software execution time of the application.
 double all_sw_time_ns(std::span<const Bsb_cost> costs);

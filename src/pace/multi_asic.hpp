@@ -10,23 +10,18 @@
 // BSBs sit on the *same* ASIC (values cannot stay in the data-path
 // across chips).
 //
-// The production DP (multi_pace_partition) is now *Pareto-sparse*: a
-// row's DP states are not a dense (a0, a1) grid but the set of
-// dominance-maximal states only.  A state
-// survives a row exactly when no other state of the same
-// previous-placement lane uses no more area on both ASICs and
+// The DP (multi_pace_partition) is *Pareto-sparse*: a row's DP states
+// are not a dense (a0, a1) grid but the set of dominance-maximal
+// states only.  A state survives a row exactly when no other state of
+// the same previous-placement lane uses no more area on both ASICs and
 // achieves at least its saving; everything else is provably useless
 // to every completion.  The pruning is *complete* (the kept set is
 // exactly the Pareto-maximal antichain with bitwise-exact values), so
-// the sparse DP reproduces the dense reference's optimal value AND
+// the sparse DP reproduces the dense full-grid DP's optimal value AND
 // its traceback placement bit for bit — see the proof sketch on
-// Multi_dp_sparse in multi_asic.cpp.
-//
-// Two implementations coexist:
-//   multi_pace_partition            sparse states (production)
-//   multi_pace_partition_reference  dense full-grid scan (the oracle)
-// Both share prepare_multi's quantization, so results are comparable
-// bit for bit; tests and the bench pin the equivalence.
+// Multi_dp_sparse in multi_asic.cpp.  The dense DP is the test oracle
+// (tests/support/multi_pace_reference.hpp); it quantizes through the
+// same prepare_multi, so the tests compare the two bit for bit.
 // multi_pace_best_saving is the sparse value-only screening entry;
 // Multi_pace_options::optimistic_rounding flips the area rounding
 // down so the DP value upper-bounds every ceil-rounded evaluation —
@@ -105,7 +100,7 @@ struct Multi_pace_options {
     /// the deadline clock — these rows are the heaviest stripes in the
     /// stack) once per BSB row.  An aborted value sweep returns -inf;
     /// an aborted multi_pace_partition returns the honest all-software
-    /// placement.  The dense reference path ignores it.
+    /// placement.
     const util::Cancel_token* cancel = nullptr;
 
     /// Saving floor for the sparse sweeps: the caller only needs the
@@ -117,7 +112,7 @@ struct Multi_pace_options {
     /// are bit-identical to the floorless sweep; otherwise the value
     /// is below the floor — the best surviving state's, or lowest()
     /// when no state survives (multi_pace_partition then returns the
-    /// all-software placement).  The dense reference path ignores it.
+    /// all-software placement).
     double min_saving = -std::numeric_limits<double>::infinity();
 };
 
@@ -161,6 +156,26 @@ std::vector<Multi_bsb_cost> build_multi_cost_model(
     std::span<const bsb::Bsb> bsbs, const hw::Hw_library& lib,
     const hw::Target& target, const core::Rmap& alloc0,
     const core::Rmap& alloc1, Controller_mode mode);
+
+/// The two-ASIC DP's quantization: every DP over a cost vector (the
+/// sparse sweep, the screening pass and the dense test oracle) must
+/// quantize through prepare_multi so their results agree exactly.
+struct Multi_setup {
+    double quantum = 0.0;
+    std::array<long long, 2> cap{0, 0};  ///< last level within each budget
+    std::size_t w0 = 0, w1 = 0;          ///< cap + 1 per axis
+};
+
+/// Validate `options` (throws std::invalid_argument on a negative or
+/// non-finite budget, max_dp_cells < 4 or a bad quantum), pick the
+/// quantum (auto default, then re-quantized until the grid fits
+/// max_dp_cells) and fill each BSB's quantized controller area per
+/// ASIC (`qarea`, rounded up, or down under optimistic_rounding) and
+/// whether it fits that ASIC's budget at all (`possible`).
+Multi_setup prepare_multi(std::span<const Multi_bsb_cost> costs,
+                          const Multi_pace_options& options,
+                          std::vector<std::array<int, 2>>& qarea,
+                          std::vector<std::array<std::uint8_t, 2>>& possible);
 
 class Multi_pace_workspace;
 
@@ -302,8 +317,7 @@ private:
 /// Pareto-sparse state sets.  With a non-null `workspace` the DP
 /// reuses the caller-owned state arenas across calls (grow-only
 /// buffers, not thread-safe); results are identical with or without
-/// one, and — placement included — bit-identical to both retained
-/// references below.
+/// one, and — placement included — bit-identical to the dense DP.
 Multi_pace_result multi_pace_partition(
     std::span<const Multi_bsb_cost> costs, const Multi_pace_options& options,
     Multi_pace_workspace* workspace = nullptr);
@@ -420,16 +434,6 @@ private:
     long long last_cells_dense_ = 0;
     long long last_states_dropped_ = 0;
 };
-
-/// The pre-overhaul dense DP (full w0 x w1 x 3 scan per row, two
-/// bytes of traceback per cell), retained — like list_schedule_naive —
-/// as the oracle the sparse implementation is pinned against by
-/// tests and the old-vs-new bench.  Shares the
-/// quantization (including the auto default and the max_dp_cells
-/// guard) with multi_pace_partition, so results are comparable
-/// bit for bit.
-Multi_pace_result multi_pace_partition_reference(
-    std::span<const Multi_bsb_cost> costs, const Multi_pace_options& options);
 
 /// Evaluate a given placement with the exact model (cross-checking).
 Multi_pace_result evaluate_multi_partition(

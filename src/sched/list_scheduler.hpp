@@ -11,14 +11,12 @@
 // Priority rule: ready operations are served in increasing ALAP order
 // (least slack first), ties broken by op id for determinism.
 //
-// Two implementations produce bit-identical schedules:
-//   * list_schedule — event-driven: jumps straight from one operation
-//     finish time to the next instead of stepping every clock cycle,
-//     keeps the ready set in a heap keyed by (ALAP, id), and binds via
-//     per-op-kind buckets of resource types ordered by specialization.
-//     This is the production path (the allocation-search hot loop).
-//   * list_schedule_naive — the original cycle-stepping reference,
-//     retained for the equivalence property tests.
+// The scheduler is event-driven: it jumps straight from one operation
+// finish time to the next instead of stepping every clock cycle, keeps
+// the ready set in a heap keyed by (ALAP, id), and binds via per-op-kind
+// buckets of resource types ordered by specialization.  The original
+// cycle-stepping implementation is the test oracle it is pinned
+// against (tests/support/list_schedule_naive.hpp).
 #pragma once
 
 #include <span>
@@ -36,13 +34,6 @@ struct List_schedule {
     std::vector<int> start;       ///< start step per op (1-based), empty if infeasible
     std::vector<int> resource;    ///< Resource_id executing each op, empty if infeasible
     int length = 0;               ///< schedule length in cycles (0 if infeasible/empty)
-};
-
-/// Which scheduler implementation to run (benchmarks compare the two;
-/// everything else uses the default event-driven one).
-enum class Scheduler_kind {
-    event_driven,  ///< production path
-    naive,         ///< cycle-stepping reference
 };
 
 /// Schedule `g` on `counts[r]` instances of each resource type `r` of
@@ -102,16 +93,5 @@ private:
     std::vector<std::size_t> active_kinds_;
     std::vector<Prio> events_;  ///< min-heap storage (finish+1, op)
 };
-
-/// The original cycle-stepping implementation.  Produces the same
-/// schedule as list_schedule (asserted by tests/test_sched_equivalence)
-/// but costs O(cycles * ready * instances) instead of O(n log n).
-List_schedule list_schedule_naive(const dfg::Dfg& g,
-                                  const hw::Hw_library& lib,
-                                  std::span<const int> counts);
-
-/// Dispatch on `kind` (used by the old-vs-new benches).
-List_schedule list_schedule(const dfg::Dfg& g, const hw::Hw_library& lib,
-                            std::span<const int> counts, Scheduler_kind kind);
 
 }  // namespace lycos::sched

@@ -73,7 +73,7 @@ const pace::Bsb_cost& Eval_cache::cost_one(std::size_t bsb,
     ++stats_.misses;
     const auto cost = pace::bsb_cost_one(
         ctx_.bsbs, bsb, ctx_.lib, ctx_.target, counts, inv_->latencies(),
-        ctx_.ctrl_mode, ctx_.storage, ctx_.scheduler, &inv_->frames(bsb),
+        ctx_.ctrl_mode, ctx_.storage, &inv_->frames(bsb),
         &inv_->invariants(bsb), &sched_ws_);
     insert(bsb, key_, cost);
     last_key_[bsb] = key_;

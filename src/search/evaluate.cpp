@@ -13,8 +13,7 @@ Evaluation evaluate_allocation(const Eval_context& ctx,
                            : pace::build_cost_model(ctx.bsbs, ctx.lib,
                                                     ctx.target, datapath,
                                                     ctx.ctrl_mode,
-                                                    ctx.storage,
-                                                    ctx.scheduler);
+                                                    ctx.storage);
     return evaluate_with_costs(ctx, datapath, costs, workspace);
 }
 

@@ -16,7 +16,6 @@
 #include "hw/resource.hpp"
 #include "hw/target.hpp"
 #include "pace/pace.hpp"
-#include "sched/list_scheduler.hpp"
 
 namespace lycos::util {
 class Cancel_token;
@@ -35,10 +34,6 @@ struct Eval_context {
     /// When non-null, hardware BSBs are charged estimated register and
     /// multiplexer area on top of their controllers (§6 future work).
     const estimate::Storage_model* storage = nullptr;
-
-    /// List-scheduler implementation (the naive one exists only for
-    /// the old-vs-new benches; both give identical schedules).
-    sched::Scheduler_kind scheduler = sched::Scheduler_kind::event_driven;
 
     /// Forwarded to Pace_options::table_area_budget: when positive,
     /// every PACE table in this context is sized for this budget (the

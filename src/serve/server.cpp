@@ -43,7 +43,6 @@ std::string encode_problem(const solver::Problem& p)
        << " storage:" << reinterpret_cast<std::uintptr_t>(p.storage)
        << " obj:" << static_cast<int>(p.objective)
        << " ctrl:" << static_cast<int>(p.ctrl_mode)
-       << " sched:" << static_cast<int>(p.scheduler)
        << " q:" << p.area_quantum << " dp:" << p.dp_table_budget
        << " a01:" << p.asic_areas[0] << "," << p.asic_areas[1];
     os << " cpu:" << p.target.cpu.name << "," << p.target.cpu.clock_mhz;

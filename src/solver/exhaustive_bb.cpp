@@ -902,8 +902,7 @@ private:
                 a.set(dims_[d].id, digits_[d]);
         if (cache_ == nullptr) {
             costs_ = pace::build_cost_model(ctx_.bsbs, ctx_.lib, ctx_.target,
-                                            a, ctx_.ctrl_mode, ctx_.storage,
-                                            ctx_.scheduler);
+                                            a, ctx_.ctrl_mode, ctx_.storage);
             if (use_pruning_) {
                 // Admissible per-point bound from the exact costs:
                 // skip the PACE DP when even the area-unconstrained
@@ -1037,8 +1036,7 @@ double prime_incumbent(const Eval_context& ctx,
             cache->costs_for(p, costs);
         else
             costs = pace::build_cost_model(ctx.bsbs, ctx.lib, ctx.target, p,
-                                           ctx.ctrl_mode, ctx.storage,
-                                           ctx.scheduler);
+                                           ctx.ctrl_mode, ctx.storage);
         pace::Pace_options opts;
         opts.ctrl_area_budget = max_area - p_area;
         opts.area_quantum = ctx.area_quantum;

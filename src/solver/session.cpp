@@ -142,7 +142,7 @@ Session::Session(Problem problem)
       ctx_{problem_.bsbs,          validated_lib(problem_),
            problem_.target,        problem_.ctrl_mode,
            problem_.area_quantum,  problem_.storage,
-           problem_.scheduler,     problem_.dp_table_budget}
+           problem_.dp_table_budget}
 {
 }
 

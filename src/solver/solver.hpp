@@ -91,7 +91,6 @@ struct Problem {
     double dp_table_budget = 0.0;
 
     const estimate::Storage_model* storage = nullptr;
-    sched::Scheduler_kind scheduler = sched::Scheduler_kind::event_driven;
 
     /// The two-ASIC target for `multi_asic_bb`: per-ASIC total areas.
     /// {0, 0} splits the single target's area evenly — the same

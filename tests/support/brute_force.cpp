@@ -1,4 +1,4 @@
-#include "pace/brute_force.hpp"
+#include "support/brute_force.hpp"
 
 #include <cmath>
 #include <stdexcept>

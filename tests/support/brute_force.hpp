@@ -1,9 +1,10 @@
-// Exact exponential partitioner.
+// Exact exponential partitioner, the test oracle of the PACE dynamic
+// program.
 //
 // Enumerates all 2^L partitions and evaluates each with the exact
-// (non-discretized) timing and area model.  Used to cross-validate the
-// PACE dynamic program in tests and for the tiny instances of the
-// ablation benches.  L is limited to 24.
+// (non-discretized) timing and area model.  The PACE tests and
+// bench_scaling's DP-vs-brute-force case compare against it.  L is
+// limited to 24.
 #pragma once
 
 #include <span>

@@ -15,9 +15,9 @@
 #include "apps/apps.hpp"
 #include "core/allocator.hpp"
 #include "hw/target.hpp"
-#include "pace/brute_force.hpp"
 #include "search/alloc_space.hpp"
 #include "solver/solver.hpp"
+#include "support/brute_force.hpp"
 
 namespace la = lycos::apps;
 namespace lc = lycos::core;

@@ -14,6 +14,7 @@
 #include "pace/cost_model.hpp"
 #include "pace/multi_asic.hpp"
 #include "search/alloc_space.hpp"
+#include "support/multi_pace_reference.hpp"
 #include "util/rng.hpp"
 
 namespace lp = lycos::pace;

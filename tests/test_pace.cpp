@@ -8,9 +8,9 @@
 #include "apps/random_app.hpp"
 #include "core/rmap.hpp"
 #include "hw/target.hpp"
-#include "pace/brute_force.hpp"
 #include "pace/cost_model.hpp"
 #include "pace/pace.hpp"
+#include "support/brute_force.hpp"
 #include "util/rng.hpp"
 
 namespace lp = lycos::pace;

@@ -10,12 +10,12 @@
 #include "core/furo.hpp"
 #include "core/restrictions.hpp"
 #include "hw/target.hpp"
-#include "pace/brute_force.hpp"
 #include "pace/cost_model.hpp"
 #include "pace/pace.hpp"
 #include "search/evaluate.hpp"
 #include "sched/list_scheduler.hpp"
 #include "sched/parallelism.hpp"
+#include "support/brute_force.hpp"
 #include "util/rng.hpp"
 
 namespace la = lycos::apps;

@@ -1,5 +1,5 @@
 // The event-driven list scheduler must be a drop-in replacement for
-// the retained cycle-stepping reference: identical feasibility,
+// the cycle-stepping oracle (tests/support): identical feasibility,
 // length, start steps and resource binding on every input.  The search
 // determinism contract (docs/performance.md) relies on this.
 //
@@ -15,6 +15,7 @@
 #include "search/eval_cache.hpp"
 #include "search/evaluate.hpp"
 #include "sched/list_scheduler.hpp"
+#include "support/list_schedule_naive.hpp"
 #include "util/rng.hpp"
 
 namespace ls = lycos::sched;
@@ -56,18 +57,6 @@ TEST(SchedEquivalence, empty_and_infeasible)
     expect_same_schedule(ls::list_schedule(g, lib, adders_only),
                          ls::list_schedule_naive(g, lib, adders_only));
     EXPECT_FALSE(ls::list_schedule(g, lib, adders_only).feasible);
-}
-
-TEST(SchedEquivalence, dispatch_selects_implementation)
-{
-    const auto lib = lh::make_default_library();
-    lycos::util::Rng rng(7);
-    lycos::apps::Random_app_params params;
-    const auto g = lycos::apps::random_dfg(rng, 20, params);
-    const std::vector<int> counts(lib.size(), 1);
-    expect_same_schedule(
-        ls::list_schedule(g, lib, counts, ls::Scheduler_kind::event_driven),
-        ls::list_schedule(g, lib, counts, ls::Scheduler_kind::naive));
 }
 
 // Random DFGs under random scarce/ample allocations: the two

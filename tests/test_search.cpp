@@ -10,7 +10,9 @@
 #include "hw/target.hpp"
 #include "search/alloc_space.hpp"
 #include "search/eval_cache.hpp"
+#include "sched/list_scheduler.hpp"
 #include "solver/solver.hpp"
+#include "support/list_schedule_naive.hpp"
 #include "util/rng.hpp"
 
 namespace lc = lycos::core;
@@ -56,8 +58,7 @@ lso::Problem problem_over(const lse::Eval_context& ctx, const lc::Rmap& bounds)
             .target = ctx.target,
             .restrictions = bounds,
             .ctrl_mode = ctx.ctrl_mode,
-            .area_quantum = ctx.area_quantum,
-            .scheduler = ctx.scheduler};
+            .area_quantum = ctx.area_quantum};
 }
 
 /// One solve on a fresh Session, so no run inherits another's warm
@@ -331,8 +332,12 @@ TEST(HillClimb, never_beats_exhaustive_and_is_deterministic)
 }
 
 // The branch-and-bound contract on randomized spaces: the pruned
-// search, the unpruned search, and the naive-scheduler evaluation all
-// return the identical best (time, area, datapath) tuple.
+// search at any thread count and the cached unpruned search return
+// the identical best (time, area, datapath) tuple as an uncached,
+// unpruned one-thread solve.  The cost model is a pure function of
+// each BSB's schedule, so checking that the production scheduler
+// equals the cycle-stepping oracle on every BSB at every point of the
+// space makes the reference the naive-scheduler answer too.
 TEST(Exhaustive, pruned_unpruned_and_naive_agree_on_random_spaces)
 {
     lycos::util::Rng rng(2026);
@@ -355,11 +360,24 @@ TEST(Exhaustive, pruned_unpruned_and_naive_agree_on_random_spaces)
         const lse::Eval_context ctx{
             bsbs, lib, target, lycos::pace::Controller_mode::list_schedule,
             area / 64.0};
-        lse::Eval_context naive_ctx = ctx;
-        naive_ctx.scheduler = lycos::sched::Scheduler_kind::naive;
+        const lse::Alloc_space space(lib, bounds);
+        for (long long i = 0; i < space.size(); ++i) {
+            const auto counts = space.nth(i).dense_counts(lib);
+            for (const auto& b : bsbs) {
+                const auto fast = lycos::sched::list_schedule(b.graph, lib,
+                                                              counts);
+                const auto naive =
+                    lycos::sched::list_schedule_naive(b.graph, lib, counts);
+                ASSERT_EQ(fast.feasible, naive.feasible)
+                    << "trial " << trial << ", point " << i;
+                EXPECT_EQ(fast.length, naive.length);
+                EXPECT_EQ(fast.start, naive.start);
+                EXPECT_EQ(fast.resource, naive.resource);
+            }
+        }
 
-        const auto naive = solve(
-            naive_ctx, bounds, "exhaustive_bb",
+        const auto reference = solve(
+            ctx, bounds, "exhaustive_bb",
             {.n_threads = 1, .use_cache = false, .use_pruning = false});
         const auto unpruned = solve(
             ctx, bounds, "exhaustive_bb",
@@ -369,17 +387,18 @@ TEST(Exhaustive, pruned_unpruned_and_naive_agree_on_random_spaces)
                 ctx, bounds, "exhaustive_bb",
                 {.n_threads = n_threads, .use_cache = true,
                  .use_pruning = true});
-            EXPECT_EQ(pruned.best.datapath, naive.best.datapath)
+            EXPECT_EQ(pruned.best.datapath, reference.best.datapath)
                 << "trial " << trial << ", " << n_threads << " threads";
             EXPECT_EQ(pruned.best.partition.time_hybrid_ns,
-                      naive.best.partition.time_hybrid_ns);
-            EXPECT_EQ(pruned.best.datapath_area, naive.best.datapath_area);
+                      reference.best.partition.time_hybrid_ns);
+            EXPECT_EQ(pruned.best.datapath_area,
+                      reference.best.datapath_area);
             EXPECT_EQ(pruned.n_evaluated + pruned.n_pruned,
                       pruned.space_size);
         }
-        EXPECT_EQ(unpruned.best.datapath, naive.best.datapath);
+        EXPECT_EQ(unpruned.best.datapath, reference.best.datapath);
         EXPECT_EQ(unpruned.best.partition.time_hybrid_ns,
-                  naive.best.partition.time_hybrid_ns);
+                  reference.best.partition.time_hybrid_ns);
     }
 }
 

@@ -645,6 +645,40 @@ TEST(ServeBatch, lru_churn_cannot_evict_pinned_batch_slot)
     EXPECT_EQ(server.stats().max_batch_size, k_members);
 }
 
+// Cross-request warm starts: a paused one-worker server whose session
+// pool holds one idle session drains an interleaved two-family
+// hill_climb burst into one batch per family.  Unbatched, the
+// families would evict each other on every checkin; batched, every
+// member after the first runs on its family's pinned session and
+// resumes the DP rows an earlier member checkpointed.
+TEST(ServeBatch, batched_burst_resumes_checkpointed_dp_rows)
+{
+    const auto lib = small_library();
+    const auto bsbs = small_app();
+
+    lse::Server server({.n_workers = 1,
+                        .queue_capacity = 64,
+                        .session_pool_capacity = 1,
+                        .warm_start = false,
+                        .batching = true,
+                        .start_paused = true});
+    std::vector<std::future<lse::Response>> futures;
+    for (int i = 0; i < 6; ++i)
+        for (const double divisor : {64.0, 80.0}) {
+            auto req = small_request(lib, bsbs, "hill_climb");
+            req.problem.area_quantum =
+                req.problem.target.asic.total_area / divisor;
+            futures.push_back(server.submit(std::move(req)));
+        }
+    server.resume();
+    for (auto& f : futures)
+        ASSERT_EQ(f.get().status, lse::Request_status::complete);
+
+    const auto stats = server.stats();
+    EXPECT_GT(stats.batches, 0u);
+    EXPECT_GT(stats.dp_rows_reused_cross_request, 0);
+}
+
 // ------------------------------------------------------ chaos campaign
 
 TEST(ServeChaos, plan_from_seed_is_reproducible)

@@ -19,6 +19,7 @@
 
 #include "pace/multi_asic.hpp"
 #include "pace/pace.hpp"
+#include "support/multi_pace_reference.hpp"
 #include "util/arena.hpp"
 #include "util/rng.hpp"
 #include "util/simd.hpp"

@@ -14,6 +14,7 @@
 // (bad app/library/problem — validation failures); 4 the --search
 // solve was truncated by a deadline or budget (the anytime incumbent
 // was still printed); 5 internal error or a failed serve request.
+#include <cmath>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -30,7 +31,6 @@
 #include "minic/lexer.hpp"
 #include "minic/lower.hpp"
 #include "minic/parser.hpp"
-#include "search/search_bench.hpp"
 #include "serve/trace.hpp"
 #include "solver/solver.hpp"
 #include "util/args.hpp"
@@ -153,9 +153,6 @@ int main(int argc, char** argv)
     args.add_option("max-evals", "0",
                     "cap on scored points for --search; the solve degrades "
                     "to an anytime result when it trips (0 = unlimited)");
-    args.add_option("bench-json", "",
-                    "run the old-vs-new search benchmark and write the "
-                    "BENCH_search.json report to this path, then exit");
     args.add_option("serve-trace", "",
                     "replay a request trace file through the serving layer "
                     "and print the per-request outcomes and latency table, "
@@ -236,12 +233,6 @@ int main(int argc, char** argv)
             return 2;
         }
     }
-
-    // Benchmark mode: measure old-vs-new search throughput and write
-    // the JSON report (needs no application input; CI calls this).
-    if (!args.value("bench-json").empty())
-        return search::write_bench_report(args.value("bench-json"),
-                                          std::cout, std::cerr);
 
     // Trace replay mode: feed the serving layer from a request file
     // (the CI chaos job archives the latency table this prints).
@@ -543,16 +534,22 @@ int main(int argc, char** argv)
                 if (m.pairs_skipped > 0)
                     std::cout << ", " << util::with_commas(m.pairs_skipped)
                               << " pairs past --pair-limit skipped";
+                // Two significant digits below 1%, so a nonzero
+                // occupancy never rounds to 0%.
+                const double occupancy =
+                    m.dp_cells_dense > 0
+                        ? static_cast<double>(m.dp_states_swept) /
+                              static_cast<double>(m.dp_cells_dense)
+                        : 0.0;
+                const double pct = 100.0 * occupancy;
+                const int digits =
+                    pct > 0.0 && pct < 1.0
+                        ? static_cast<int>(std::ceil(-std::log10(pct))) + 1
+                        : 0;
                 std::cout << "\n  sparse DP: "
                           << util::with_commas(m.dp_states_swept)
                           << " states swept ("
-                          << util::percent(
-                                 m.dp_cells_dense > 0
-                                     ? static_cast<double>(
-                                           m.dp_states_swept) /
-                                           static_cast<double>(
-                                               m.dp_cells_dense)
-                                     : 0.0)
+                          << util::percent(occupancy, digits)
                           << " of the dense grids), "
                           << util::with_commas(m.dp_states_dropped)
                           << " dropped by the saving floor\n";
