@@ -7,16 +7,23 @@
 // restructures the walk as a deterministic branch-and-bound over the
 // a0-major pair tree:
 //
-//   * every axis point the walk reads has its per-BSB costs fetched
-//     once per solve into one flat cost block (see Axis_block), so
-//     the pair loop indexes memory instead of hashing projections,
-//   * every point is bounded once per solve, in parallel over the
-//     pool: S_a(p), the best single-ASIC saving p's costs reach on
-//     ASIC a (the sparse value-only DP with the other ASIC
+//   * one parallel prep pass over the points the walk reads, in
+//     static contiguous chunks on the pool, each on its own workspace
+//     slot and cache: it fetches each point's per-BSB costs once per
+//     solve into one flat cost block (see Axis_block), so the pair
+//     loop indexes memory instead of hashing projections, and bounds
+//     the point: S_a(p), the best single-ASIC saving p's costs reach
+//     on ASIC a (the sparse value-only DP with the other ASIC
 //     infeasible, areas rounded optimistically).  A placement's
 //     saving splits exactly into its two per-ASIC restrictions — the
 //     adjacency credit applies only after a BSB on the same ASIC — so
 //     no pair (i, j) saves more than S_0(i) + S_1(j),
+//   * the walk starts from a primed time-to-beat: the screened time
+//     of the walked pair of largest separable bound (the row with the
+//     largest S_0, then its walked column with the largest S_1).  That
+//     pair lies inside the walked prefix, the window and the mirror
+//     half, so priming is sound under a truncating pair_limit and in
+//     a distributed lease alike,
 //   * rows are the tree's first level: one a0 axis point = one row of
 //     f1 pairs.  The O(1) *row bound* S_0(i) plus the suffix maximum
 //     of S_1 over the row's columns may kill the whole row before any
@@ -48,9 +55,9 @@
 //     up to exactly pair_limit pairs in a0-major order —
 //     deterministically, whatever the thread count — with the
 //     remainder reported as Multi_solve_result::pairs_skipped instead
-//     of thrown.  Incumbent priming is disabled in that case, so every
-//     prune compares against a pair inside the walked prefix and the
-//     best pair equals the brute-force best of the prefix.
+//     of thrown.  Every prune compares against a pair inside the
+//     walked prefix, the primer's included, so the best pair equals
+//     the brute-force best of the prefix.
 //
 // Every prune (row or pair) removes only pairs provably worse in
 // time than a pair that is actually evaluated (a mirror pair ties
@@ -86,15 +93,15 @@ namespace lycos::solver::detail {
 
 namespace {
 
-/// Axis_point::row of a point the walk never reads.
-constexpr std::uint32_t k_unread = std::numeric_limits<std::uint32_t>::max();
-
 /// One enumerable allocation (area pre-computed: the inner loop
 /// compares it millions of times).
 struct Axis_point {
     core::Rmap alloc;
     double area = 0.0;
-    std::uint32_t row = k_unread;  ///< its row in the Axis_block
+    std::uint32_t row = 0;  ///< its row in the Axis_block, if read
+    /// Bit a: the walk reads this point on ASIC a (its S_a is needed);
+    /// 0 = the walk never reads it.
+    std::uint8_t sides = 0;
 };
 
 /// Largest single-ASIC space the per-axis enumeration will walk while
@@ -104,8 +111,9 @@ constexpr long long k_axis_enum_limit = 1LL << 22;
 /// Per-BSB costs of every axis point the walk reads, fetched once per
 /// solve: row r holds n_bsbs pace::Bsb_cost (and their
 /// multi_gain_terms) contiguously, so a pair costs two row offsets
-/// instead of two cache lookups.  Filled serially before any worker
-/// runs and read-only afterwards — shared by every worker.
+/// instead of two cache lookups.  Filled by the prep pass, each row
+/// by exactly one chunk, before any worker runs, and read-only
+/// afterwards — shared by every worker.
 struct Axis_block {
     std::size_t n_bsbs = 0;
     std::vector<pace::Bsb_cost> costs;  ///< rows x n_bsbs
@@ -175,10 +183,12 @@ void combine_costs(std::span<const pace::Bsb_cost> c0,
 /// with `ctrl_budget` of controller area, the other ASIC infeasible.
 /// A pair's placement splits exactly into its two per-ASIC
 /// restrictions (the adjacency credit needs both BSBs on one ASIC),
-/// so its saving is at most S_0(p0) + S_1(p1); optimistic rounding
+/// so its saving is at most S_0(p0) + S_1(p1); `optimistic` rounding
 /// keeps that true of every ceil-rounded pair DP at any quantum.
+/// Without it the value is a saving the pair itself can reach.
 double single_asic_saving(std::span<const pace::Bsb_cost> c,
                           double ctrl_budget, double area_quantum,
+                          bool optimistic,
                           std::vector<pace::Multi_bsb_cost>& mcosts,
                           pace::Multi_pace_workspace& mws)
 {
@@ -192,7 +202,7 @@ double single_asic_saving(std::span<const pace::Bsb_cost> c,
     pace::Multi_pace_options mo;
     mo.ctrl_area_budgets = {ctrl_budget, 0.0};
     mo.area_quantum = area_quantum;
-    mo.optimistic_rounding = true;
+    mo.optimistic_rounding = optimistic;
     return pace::multi_pace_best_saving(mcosts, mo, &mws);
 }
 
@@ -282,178 +292,138 @@ Solve_result solve_multi_asic_bb(Session& session,
     // Session::invariants() is lazily computed and not thread-safe.
     const auto invariants = session.invariants();
 
-    // Shared prep: the axis cost block, the all-software baseline, the
-    // float-safety slack, and a primed time-to-beat from the greedy
-    // probe pair so every worker prunes from the start.  All of it is
-    // fetched through one prep cache: the session's when caching is
-    // on; an uncached solve must not mutate or instantiate the
-    // session cache, so it fetches through a throwaway.
+    // The block covers the window's rows and the reachable asic1
+    // prefix: mark each point with the ASICs whose S_a the walk reads
+    // (at an even split S_1 = S_0, so one bit), then number the marked
+    // points, each once, in enumeration order.
+    const bool even = budgets[0] == budgets[1];
+    for (long long i = r_begin; i < r_end; ++i)
+        points[axis[0][static_cast<std::size_t>(i)]].sides |= 1;
+    for (std::size_t j = 0; j < reachable; ++j)
+        points[axis[1][j]].sides |= even ? 1 : 2;
+    std::vector<std::uint32_t> block_points;  // block row -> point
+    for (std::uint32_t p = 0; p < points.size(); ++p)
+        if (points[p].sides != 0) {
+            points[p].row = static_cast<std::uint32_t>(block_points.size());
+            block_points.push_back(p);
+        }
+    const std::size_t n_block = block_points.size();
+    Axis_block block;
+    block.n_bsbs = ctx.bsbs.size();
+    block.costs.resize(n_block * block.n_bsbs);
+    block.gain.resize(n_block * block.n_bsbs);
+
+    // The prep pass, in static contiguous chunks of block rows, each
+    // on its own workspace slot: fetch a row's costs, compute its gain
+    // terms and the separable bound S_a(p) (single_asic_saving) of
+    // every side it fills.  Chunk 0 fetches through the prep cache —
+    // the session's when caching is on; an uncached solve must not
+    // mutate or instantiate the session cache, so it fetches through a
+    // throwaway — and every other chunk through a private cache on the
+    // session invariants.  The DPs run without the token (an aborted
+    // sweep's -inf would read as a kill); the token is polled before
+    // every fetch instead, and a trip abandons every row.
     search::Eval_cache* session_cache = nullptr;
     search::Eval_cache_stats shared_before;
     if (options.use_cache) {
         session_cache = &session.cache(options.cache_capacity);
         shared_before = session_cache->stats();
     }
+    std::optional<search::Eval_cache> prep_local;
+    search::Eval_cache& prep =
+        session_cache != nullptr
+            ? *session_cache
+            : prep_local.emplace(ctx, options.cache_capacity, invariants);
 
-    const bool use_row_bound = options.use_pruning && extras.use_row_bound;
-    double all_sw = 0.0;
-    double prime_time = std::numeric_limits<double>::infinity();
-    Axis_block block;
-    std::uint32_t n_block = 0;
-    {
-        std::optional<search::Eval_cache> prep_local;
-        search::Eval_cache& prep =
-            session_cache != nullptr
-                ? *session_cache
-                : prep_local.emplace(ctx, options.cache_capacity,
-                                     invariants);
+    const std::size_t n_prep = util::clamp_chunks(
+        options.n_threads, util::Thread_pool::default_concurrency(),
+        static_cast<long long>(n_block));
+    // Session-persistent DP workspaces: chunk or worker c's
+    // Multi_pace_workspace (sparse state sets, merge scratch, traceback
+    // arena) lives on pool slot c, so its grow-only buffers survive
+    // between solves and a repeat solve pays no re-allocation — the
+    // multi-ASIC share of the serve layer's cross-request reuse.  The
+    // walk never has more workers than the block has rows.
+    session.workspaces().prepare(n_prep);
 
-        // The block covers the window's rows and the reachable asic1
-        // prefix: mark those points, then number them, each once, in
-        // enumeration order.
-        for (long long i = r_begin; i < r_end; ++i)
-            points[axis[0][static_cast<std::size_t>(i)]].row = 0;
-        for (std::size_t j = 0; j < reachable; ++j)
-            points[axis[1][j]].row = 0;
-        for (auto& point : points)
-            if (point.row != k_unread)
-                point.row = n_block++;
-        block.n_bsbs = ctx.bsbs.size();
-        block.costs.resize(n_block * block.n_bsbs);
-        block.gain.resize(n_block * block.n_bsbs);
-
+    std::array<std::vector<double>, 2> single;  // S_a per block row
+    if (options.use_pruning) {
+        single[0].resize(n_block);
+        if (!even)
+            single[1].resize(n_block);
+    }
+    std::vector<search::Eval_cache_stats> private_stats(n_prep);
+    std::atomic<long long> bound_swept{0};
+    std::atomic<long long> bound_dense{0};
+    const auto prep_chunk = [&](std::size_t c, long long begin,
+                                long long end) {
+        std::optional<search::Eval_cache> own;
+        search::Eval_cache& cache =
+            c == 0 ? prep
+                   : own.emplace(ctx, options.cache_capacity, invariants);
+        pace::Multi_pace_workspace& mws = session.workspaces().slot(c).multi;
         std::vector<pace::Bsb_cost> costs;
         std::vector<double> gain;
-        for (const auto& point : points) {
-            if (point.row == k_unread)
-                continue;
-            // The fill is serial and the largest share of a cold
-            // solve: a tripped token abandons every row before the
-            // walk starts.
-            if (options.cancel != nullptr && options.cancel->stop()) {
-                out.rows_abandoned = n_rows_work;
-                out.status = options.cancel->status();
-                out.seconds = timer.seconds();
-                return out;
-            }
-            prep.costs_for(point.alloc, costs);
+        std::vector<pace::Multi_bsb_cost> mcosts;
+        long long swept = 0;
+        long long dense = 0;
+        for (long long r = begin; r < end; ++r) {
+            if (options.cancel != nullptr && options.cancel->stop())
+                break;
+            const Axis_point& point =
+                points[block_points[static_cast<std::size_t>(r)]];
+            cache.costs_for(point.alloc, costs);
             pace::multi_gain_terms(costs, gain);
             const std::size_t at = point.row * block.n_bsbs;
             std::copy(costs.begin(), costs.end(), block.costs.begin() + at);
             std::copy(gain.begin(), gain.end(), block.gain.begin() + at);
+            if (!options.use_pruning)
+                continue;
+            for (std::size_t a = 0; a < 2; ++a)
+                if ((point.sides >> a) & 1) {
+                    single[a][point.row] = single_asic_saving(
+                        costs, budgets[a] - point.area, ctx.area_quantum,
+                        true, mcosts, mws);
+                    swept += mws.last_cells_swept();
+                    dense += mws.last_cells_dense();
+                }
         }
-
-        std::vector<pace::Bsb_cost> probe0;
-        std::vector<pace::Bsb_cost> probe1;
-        std::vector<pace::Multi_bsb_cost> probe_costs;
-        // Greedy per-axis probe (the prime_incumbent idea): a point of
-        // the filtered axis list, so priming against its screened time
-        // can only remove pairs strictly worse than a pair the
-        // enumeration scores anyway.
-        const auto g0 = space.greedy_fill(ctx.lib, budgets[0]);
-        const auto g1 = space.greedy_fill(ctx.lib, budgets[1]);
-        prep.costs_for(g0, probe0);
-        prep.costs_for(g1, probe1);
-        combine_costs(probe0, probe1, probe_costs);
-        for (const auto& c : probe_costs)
-            all_sw += c.t_sw;
-        // Priming is only sound when the greedy pair is guaranteed to
-        // be *walked*: with a truncated prefix it may lie outside, and
-        // pruning against an unwalked pair could starve the prefix of
-        // its own best.  Prefix runs prune from walked pairs only.
-        // A cancellation token truncates the same way (at an index
-        // unknown in advance), so it disables priming identically.
-        if (options.use_pruning && out.multi.pairs_skipped == 0 &&
-            options.cancel == nullptr) {
-            pace::Multi_pace_options mo;
-            mo.ctrl_area_budgets = {budgets[0] - g0.area(ctx.lib),
-                                    budgets[1] - g1.area(ctx.lib)};
-            mo.area_quantum = ctx.area_quantum;
-            pace::Multi_pace_workspace mws;
-            prime_time =
-                all_sw - pace::multi_pace_best_saving(probe_costs, mo, &mws);
-        }
-        if (options.use_cache)
-            out.cache_stats = session_cache->stats().minus(shared_before);
+        if (c != 0)
+            private_stats[c] = cache.stats();
+        bound_swept.fetch_add(swept, std::memory_order_relaxed);
+        bound_dense.fetch_add(dense, std::memory_order_relaxed);
+    };
+    if (n_prep == 1)
+        prep_chunk(0, 0, static_cast<long long>(n_block));
+    else
+        util::parallel_chunks(session.pool(n_prep),
+                              static_cast<long long>(n_block), n_prep,
+                              prep_chunk, options.cancel);
+    out.multi.dp_states_swept = bound_swept.load();
+    out.multi.dp_cells_dense = bound_dense.load();
+    if (options.use_cache) {
+        out.cache_stats = session_cache->stats().minus(shared_before);
+        for (const auto& s : private_stats)
+            out.cache_stats += s;
     }
+    if (options.cancel != nullptr && options.cancel->tripped()) {
+        out.rows_abandoned = n_rows_work;
+        out.status = options.cancel->status();
+        out.seconds = timer.seconds();
+        return out;
+    }
+
+    // The all-software baseline is allocation-independent: any row's.
+    double all_sw = 0.0;
+    for (const auto& c : block.costs_of(0))
+        all_sw += c.t_sw;
     const double slack = 1e-7 * std::max(1.0, std::abs(all_sw));
 
-    const std::size_t n_threads = util::clamp_chunks(
-        options.n_threads, util::Thread_pool::default_concurrency(),
-        n_rows_work);
-    out.n_threads = static_cast<int>(n_threads);
-
-    // Session-persistent DP workspaces: worker c's Multi_pace_workspace
-    // (sparse state sets, merge scratch, traceback arena) lives on pool
-    // slot c, so its grow-only buffers survive between solves and a
-    // repeat solve pays no re-allocation — the multi-ASIC share of the
-    // serve layer's cross-request reuse.
-    session.workspaces().prepare(n_threads);
-
-    // The separable bound S_a(p) (single_asic_saving) of every point
-    // the walk reads on ASIC a: S_0 for the window's rows, S_1 for the
-    // reachable asic1 prefix.  At an even split S_1 = S_0, so each
-    // point costs one DP.  The DPs run in parallel chunks, each on its
-    // own workspace slot, without the token: an aborted sweep's -inf
-    // would read as a kill.  The token is polled once per point
-    // instead, and a trip abandons every row, as in the fill.
-    const bool even = budgets[0] == budgets[1];
-    std::array<std::vector<double>, 2> single;  // per block row
-    std::vector<double> s1;         // S_1 per reachable asic1 column
-    std::vector<double> s1_suffix;  // max of s1 over [j, reachable)
+    // S_1 per reachable asic1 column, and its suffix maximum over
+    // [j, reachable).
+    std::vector<double> s1;
+    std::vector<double> s1_suffix;
     if (options.use_pruning) {
-        std::vector<std::pair<std::uint32_t, std::size_t>> items;
-        if (even) {
-            for (std::uint32_t p = 0; p < points.size(); ++p)
-                if (points[p].row != k_unread)
-                    items.emplace_back(p, 0);
-        }
-        else {
-            for (long long i = r_begin; i < r_end; ++i)
-                items.emplace_back(axis[0][static_cast<std::size_t>(i)], 0);
-            for (std::size_t j = 0; j < reachable; ++j)
-                items.emplace_back(axis[1][j], 1);
-        }
-        single[0].resize(n_block);
-        if (!even)
-            single[1].resize(n_block);
-        std::atomic<long long> bound_swept{0};
-        std::atomic<long long> bound_dense{0};
-        const auto bound_chunk = [&](std::size_t c, long long begin,
-                                     long long end) {
-            pace::Multi_pace_workspace& mws =
-                session.workspaces().slot(c).multi;
-            std::vector<pace::Multi_bsb_cost> mcosts;
-            long long swept = 0;
-            long long dense = 0;
-            for (long long t = begin; t < end; ++t) {
-                if (options.cancel != nullptr && options.cancel->stop())
-                    break;
-                const auto [p, a] = items[static_cast<std::size_t>(t)];
-                const Axis_point& point = points[p];
-                single[a][point.row] = single_asic_saving(
-                    block.costs_of(point.row), budgets[a] - point.area,
-                    ctx.area_quantum, mcosts, mws);
-                swept += mws.last_cells_swept();
-                dense += mws.last_cells_dense();
-            }
-            bound_swept.fetch_add(swept, std::memory_order_relaxed);
-            bound_dense.fetch_add(dense, std::memory_order_relaxed);
-        };
-        const auto n_items = static_cast<long long>(items.size());
-        if (n_threads == 1)
-            bound_chunk(0, 0, n_items);
-        else
-            util::parallel_chunks(session.pool(n_threads), n_items,
-                                  n_threads, bound_chunk, options.cancel);
-        out.multi.dp_states_swept = bound_swept.load();
-        out.multi.dp_cells_dense = bound_dense.load();
-        if (options.cancel != nullptr && options.cancel->tripped()) {
-            out.rows_abandoned = n_rows_work;
-            out.status = options.cancel->status();
-            out.seconds = timer.seconds();
-            return out;
-        }
         const auto& single1 = single[even ? 0 : 1];
         s1.resize(reachable);
         for (std::size_t j = 0; j < reachable; ++j)
@@ -469,7 +439,81 @@ Solve_result solve_multi_asic_bb(Session& session,
     // exact tie goes to the lower index, i <= j.  The pruned walk
     // scores only that half; row i starts at column i.
     const bool mirror = options.use_pruning && even;
+    // The columns [j_begin, j_end) row i walks.  The final row of a
+    // truncated prefix may be partial.  The mirror pairs (i, j < i)
+    // were scored in row j, a full row (only the last row of a prefix
+    // is partial).
+    const auto walked_columns = [&](long long i) {
+        const long long j_end = std::min(f1, walked - i * f1);
+        return std::pair(mirror ? std::min(i, j_end) : 0, j_end);
+    };
 
+    // Prime the time-to-beat from the walked pair of largest separable
+    // bound: the window row with the largest S_0, and the column with
+    // the largest S_1 among those that row walks.  The pair is walked
+    // — inside the prefix, the window and the mirror half — so a prune
+    // against its time removes only pairs strictly worse than a pair
+    // the walk scores anyway.  A cancellation token may stop the walk
+    // before it reaches that pair, so a token disables priming.
+    double prime_time = std::numeric_limits<double>::infinity();
+    long long pi = -1;
+    if (options.use_pruning && options.cancel == nullptr) {
+        const auto s0_of = [&](long long i) {
+            return single[0][points[axis[0][static_cast<std::size_t>(i)]].row];
+        };
+        for (long long i = r_begin; i < r_end; ++i) {
+            const auto [j_begin, j_end] = walked_columns(i);
+            if (j_begin < j_end && (pi < 0 || s0_of(i) > s0_of(pi)))
+                pi = i;
+        }
+    }
+    if (pi >= 0) {
+        const auto [j_begin, j_end] = walked_columns(pi);
+        auto pj = static_cast<std::size_t>(j_begin);
+        for (auto j = pj + 1; j < static_cast<std::size_t>(j_end); ++j)
+            if (s1[j] > s1[pj])
+                pj = j;
+        const auto& p0 = points[axis[0][static_cast<std::size_t>(pi)]];
+        const auto& p1 = points[axis[1][pj]];
+        pace::Multi_pace_workspace& mws = session.workspaces().slot(0).multi;
+        const auto count_sweep = [&] {
+            out.multi.dp_states_swept += mws.last_cells_swept();
+            out.multi.dp_cells_dense += mws.last_cells_dense();
+            out.multi.dp_states_dropped += mws.last_states_dropped();
+        };
+        // The saving floor bounds the primer's cost: the better of the
+        // two points' exact single-ASIC savings, each a placement the
+        // pair also has, so the sweep normally keeps the exact value
+        // at a fraction of the floorless cost.  Any floor is sound:
+        // below it the sweep returns a surviving placement's saving (a
+        // looser time of this walked pair) or lowest() (no priming).
+        std::vector<pace::Multi_bsb_cost> mcosts;
+        double floor = -std::numeric_limits<double>::infinity();
+        for (const auto [p, a] : {std::pair(&p0, 0), std::pair(&p1, 1)}) {
+            floor = std::max(
+                floor, single_asic_saving(block.costs_of(p->row),
+                                          budgets[a] - p->area,
+                                          ctx.area_quantum, false, mcosts,
+                                          mws));
+            count_sweep();
+        }
+        combine_costs(block.costs_of(p0.row), block.costs_of(p1.row), mcosts);
+        pace::Multi_pace_options mo;
+        mo.ctrl_area_budgets = {budgets[0] - p0.area, budgets[1] - p1.area};
+        mo.area_quantum = ctx.area_quantum;
+        mo.min_saving = floor;
+        const double saving = pace::multi_pace_best_saving(mcosts, mo, &mws);
+        count_sweep();
+        if (saving != std::numeric_limits<double>::lowest())
+            prime_time = all_sw - saving;
+    }
+    out.multi.prime_time_ns = prime_time;
+
+    const bool use_row_bound = options.use_pruning && extras.use_row_bound;
+    const std::size_t n_threads = util::clamp_chunks(
+        options.n_threads, util::Thread_pool::default_concurrency(),
+        n_rows_work);
+    out.n_threads = static_cast<int>(n_threads);
     std::vector<Pair_worker> workers(n_threads);
     // The next unclaimed a0 row, and the solve's time-to-beat: the
     // best full-partition time any worker has found so far.
@@ -515,12 +559,8 @@ Solve_result solve_multi_asic_bb(Session& session,
                 continue;
             }
             const auto& p0 = points[axis[0][static_cast<std::size_t>(i)]];
-            // The final row of a truncated prefix may be partial.  The
-            // mirror pairs (i, j < i) were scored in row j, a full row
-            // (only the last row of a prefix is partial): they count
-            // as pruned.
-            const long long j_end = std::min(f1, walked - i * f1);
-            const long long j_begin = mirror ? std::min(i, j_end) : 0;
+            // The mirror pairs before j_begin count as pruned.
+            const auto [j_begin, j_end] = walked_columns(i);
             w.n_pruned += j_begin;
             const auto gain0 = block.gain_of(p0.row);
             const double s0 = options.use_pruning ? single[0][p0.row] : 0.0;

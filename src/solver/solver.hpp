@@ -27,6 +27,7 @@
 
 #include <array>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <span>
 #include <string>
@@ -124,12 +125,11 @@ struct Multi_asic_extras {
     /// a cap the search walks exactly the first `pair_limit` pairs in
     /// a0-major order — deterministically, whatever the thread count
     /// — and reports the rest in Multi_solve_result::pairs_skipped, a
-    /// best-of-prefix answer.  A truncated walk disables incumbent
-    /// priming, so pruning can only compare against pairs inside the
-    /// walked prefix (the best pair stays exactly the brute-force best
-    /// of that prefix) — which is why a cap saves little: the exact
-    /// walk of eigen's 27 M-pair space takes only about a fifth longer
-    /// than its unprimed 2^23-pair prefix.
+    /// best-of-prefix answer.  The walk primes its time-to-beat from a
+    /// pair inside the walked prefix (Multi_solve_result::
+    /// prime_time_ns), so pruning only compares against walked pairs
+    /// and the best pair stays exactly the brute-force best of that
+    /// prefix.
     long long pair_limit = 0;
 
     /// Branch-and-bound over the a0-major pair *tree*: before any
@@ -148,12 +148,14 @@ struct Multi_asic_extras {
 /// than pretending: hill_climb and multi_asic_bb evaluate *through*
 /// memoized costs by construction, so for them use_cache=false only
 /// drops the shared session cache (hill_climb workers still memoize
-/// privately, bounded by cache_capacity; multi_asic_bb fetches its
-/// per-solve axis cost block through one throwaway cache).  For hill_climb,
-/// use_pruning toggles the admissible proxy-cost screen on neighbour
-/// evaluation (Eval_cache::find_one + optimistic stand-in costs;
-/// candidates the proxy proves non-improving skip their exact screen
-/// — the climb trajectory and best tuple are identical either way).
+/// privately, bounded by cache_capacity; multi_asic_bb's prep chunks
+/// fetch its per-solve axis cost block through private throwaway
+/// caches, chunk 0 through the session cache only when caching is
+/// on).  For hill_climb, use_pruning toggles the admissible
+/// proxy-cost screen on neighbour evaluation (Eval_cache::find_one +
+/// optimistic stand-in costs; candidates the proxy proves
+/// non-improving skip their exact screen — the climb trajectory and
+/// best tuple are identical either way).
 struct Solve_options {
     int n_threads = 0;        ///< 0 = hardware concurrency
     bool use_cache = true;    ///< memoize per-BSB scheduling (see above)
@@ -245,6 +247,14 @@ struct Multi_solve_result {
     /// States the pair DPs' saving floor dropped mid-sweep
     /// (pace::Multi_pace_workspace::last_states_dropped, summed).
     long long dp_states_dropped = 0;
+    /// The time-to-beat the walk started from: the screened time of
+    /// the walked pair of largest separable bound S_0(i) + S_1(j) —
+    /// the window row with the largest S_0, then the largest S_1 among
+    /// the columns that row walks.  +inf when the walk ran unprimed:
+    /// no pruning, a cancellation token attached, or a primer DP whose
+    /// saving floor dropped every state.  A distributed solve's folded
+    /// result leaves it +inf: each lease primes from its own rows.
+    double prime_time_ns = std::numeric_limits<double>::infinity();
 };
 
 /// Per-worker stats of a distributed solve (Dist_solve_result), in

@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cmath>
 #include <limits>
 #include <string>
 #include <string_view>
@@ -884,6 +885,171 @@ TEST(MultiAsicBb, straight_even_split_matches_flat_reference)
             folded = &lease;
     ASSERT_NE(folded, nullptr);
     expect_same_pair(*folded, reference, "folded leases");
+}
+
+namespace {
+
+/// The separable primer's pair on the whole pair space, recomputed
+/// from public pieces: the first a0 axis point with the largest S_0
+/// (its optimistic single-ASIC saving), then the first column of its
+/// row with the largest S_1.  It only aims the limits below at the
+/// primer's row; their assertions hold for any limit.
+struct Primer_pair {
+    long long row = 0;
+    long long col = 0;
+    long long f1 = 0;
+    bool mirror = false;  ///< even split: row i walks columns j >= i
+};
+
+Primer_pair find_primer_pair(lso::Session& session)
+{
+    const lso::Problem& p = session.problem();
+    const auto& lib = *p.lib;
+    const std::array<double, 2> budgets =
+        p.asic_areas[0] != 0.0 || p.asic_areas[1] != 0.0
+            ? p.asic_areas
+            : std::array<double, 2>{p.target.asic.total_area / 2.0,
+                                    p.target.asic.total_area / 2.0};
+    const auto single_saving = [&](const lc::Rmap& a, double budget) {
+        const auto costs = session.cache().costs_for(a);
+        std::vector<lp::Multi_bsb_cost> m(costs.size());
+        for (std::size_t k = 0; k < costs.size(); ++k) {
+            m[k].t_sw = costs[k].t_sw;
+            m[k].hw[0] = costs[k];
+            m[k].hw[1].t_hw = std::numeric_limits<double>::infinity();
+            m[k].hw[1].ctrl_area = std::numeric_limits<double>::infinity();
+        }
+        lp::Multi_pace_options mo;
+        mo.ctrl_area_budgets = {budget - a.area(lib), 0.0};
+        mo.area_quantum = p.area_quantum;
+        mo.optimistic_rounding = true;
+        return lp::multi_pace_best_saving(m, mo);
+    };
+    std::array<std::vector<double>, 2> s;
+    const lse::Alloc_space space(lib, p.restrictions);
+    for (std::size_t a = 0; a < 2; ++a)
+        space.for_each(budgets[a], [&](const lc::Rmap& alloc) {
+            s[a].push_back(single_saving(alloc, budgets[a]));
+            return true;
+        });
+    const auto first_max = [](const std::vector<double>& v, std::size_t from) {
+        return static_cast<long long>(
+            std::max_element(v.begin() + static_cast<std::ptrdiff_t>(from),
+                             v.end()) -
+            v.begin());
+    };
+    Primer_pair pair;
+    pair.mirror = budgets[0] == budgets[1];
+    pair.f1 = static_cast<long long>(s[1].size());
+    pair.row = first_max(s[0], 0);
+    pair.col = first_max(
+        s[1], pair.mirror ? static_cast<std::size_t>(pair.row) : 0);
+    return pair;
+}
+
+}  // namespace
+
+// The walk is primed from the walked pair of largest separable bound,
+// so priming must stay sound where the walk is cut short: under a
+// pair_limit whose last row is partial, and inside a window lease.
+// The limit ends inside the primer's own row, before the column the
+// whole space would prime from where the split allows it, and the two
+// leases split the prefix just before that row.  Every run primes
+// from a pair it walks: a finite time-to-beat no better than its own
+// best, and the best of the one-thread unpruned prefix walk.
+TEST(MultiAsicBb, separable_primer_is_a_walked_pair)
+{
+    const Straight straight;
+    for (const auto split :
+         {std::array<double, 2>{0.0, 0.0}, std::array<double, 2>{0.65, 0.35}}) {
+        lso::Session session(straight.problem(split));
+        const Primer_pair primer = find_primer_pair(session);
+        const long long j_begin = primer.mirror ? primer.row : 0;
+        // A partial row that walks at least one pair and, when the
+        // row's best column lies past its first, stops before it.
+        const long long j_end =
+            primer.col > j_begin
+                ? (j_begin + 1 + primer.col) / 2
+                : j_begin + (primer.f1 - j_begin + 1) / 2;
+        ASSERT_LT(j_end, primer.f1);
+        const long long limit = primer.row * primer.f1 + j_end;
+        const auto reference =
+            session.solve("multi_asic_bb", flat_reference_options(limit));
+        ASSERT_TRUE(reference.have_best);
+
+        const auto area_sum = [](const lso::Solve_result& r) {
+            return r.multi.datapath_area[0] + r.multi.datapath_area[1];
+        };
+        const auto expect_primed = [](const lso::Solve_result& r,
+                                      const std::string& what) {
+            ASSERT_TRUE(r.have_best) << what;
+            EXPECT_TRUE(std::isfinite(r.multi.prime_time_ns)) << what;
+            EXPECT_GE(r.multi.prime_time_ns,
+                      r.multi.partition.time_hybrid_ns)
+                << what;
+        };
+        for (const int n_threads : {1, 2, 4}) {
+            const std::string what = "split " + std::to_string(split[0]) +
+                                     ", limit " + std::to_string(limit) +
+                                     ", " + std::to_string(n_threads) +
+                                     " threads";
+            lso::Solve_options o;
+            o.n_threads = n_threads;
+            o.extras = lso::Multi_asic_extras{.pair_limit = limit};
+            const auto prefix = session.solve("multi_asic_bb", o);
+            expect_primed(prefix, what);
+            expect_same_pair(prefix, reference, what);
+
+            // Two leases over the prefix's rows, the second only the
+            // partial primer row; folded in window order, a later
+            // window winning only when strictly better.
+            const lso::Solve_result* folded = nullptr;
+            std::array<lso::Solve_result, 2> leases;
+            const std::array<lycos::util::Chunk_range, 2> windows = {
+                lycos::util::Chunk_range{0, primer.row},
+                lycos::util::Chunk_range{primer.row, primer.row + 1}};
+            for (std::size_t w = 0; w < 2; ++w) {
+                o.window = windows[w];
+                leases[w] = session.solve("multi_asic_bb", o);
+                const auto& lease = leases[w];
+                if (windows[w].size() == 0)
+                    continue;
+                const std::string lease_what =
+                    what + ", lease " + std::to_string(w);
+                expect_primed(lease, lease_what);
+                if (lease.have_best &&
+                    (folded == nullptr ||
+                     lse::better_tuple(lease.multi.partition.time_hybrid_ns,
+                                       area_sum(lease),
+                                       folded->multi.partition.time_hybrid_ns,
+                                       area_sum(*folded))))
+                    folded = &lease;
+            }
+            ASSERT_NE(folded, nullptr) << what;
+            expect_same_pair(*folded, reference, what + ", folded leases");
+        }
+    }
+}
+
+// The prep pass fetches every block row's costs once, split into
+// static chunks whose caches are the session's (chunk 0) and private
+// ones: over the whole space at the even split the block is the one
+// shared axis, so the solve reports exactly one lookup per BSB per
+// axis point, whatever the thread count.
+TEST(MultiAsicBb, prep_pass_fetches_each_block_point_once)
+{
+    const Straight straight;
+    const lso::Problem p = straight.problem({0.0, 0.0});
+    for (const int n_threads : {1, 4}) {
+        lso::Session session(p);
+        const auto r =
+            session.solve("multi_asic_bb", {.n_threads = n_threads});
+        ASSERT_TRUE(r.have_best) << n_threads;
+        EXPECT_EQ(r.cache_stats.hits + r.cache_stats.misses,
+                  r.multi.axis_points[0] *
+                      static_cast<long long>(p.bsbs.size()))
+            << n_threads;
+    }
 }
 
 // With use_cache = false no strategy may read or grow the session

@@ -531,6 +531,10 @@ int main(int argc, char** argv)
                           << util::with_commas(m.rows_pruned) << "/"
                           << util::with_commas(m.rows_visited)
                           << " rows bound-killed";
+                if (std::isfinite(m.prime_time_ns))
+                    std::cout << ", primed at "
+                              << util::fixed(m.prime_time_ns / 1e3, 1)
+                              << " us";
                 if (m.pairs_skipped > 0)
                     std::cout << ", " << util::with_commas(m.pairs_skipped)
                               << " pairs past --pair-limit skipped";
